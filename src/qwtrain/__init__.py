@@ -50,7 +50,6 @@ from .mlp import (
 from .oracle import (
     SolutionSet,
     WindowTooLarge,
-    count_solutions,
     enumerate_solutions,
     evaluate_vertex,
     scan_window_counts,
@@ -97,7 +96,6 @@ __all__ = [
     "classify",
     "coords_to_index",
     "coords_to_weights",
-    "count_solutions",
     "distribution_1d",
     "distribution_nd",
     "enumerate_solutions",

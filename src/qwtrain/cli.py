@@ -177,7 +177,7 @@ def cmd_train(ns, parser) -> int:
     if ns.dry_run:
         start = trainer.random_window(config.w, config.z, config.delta_p, config.seed)
         try:
-            window, sols, shifts = trainer._find_solvable_window(start, config)
+            window, sols, shifts = trainer.find_solvable_window(start, config)
         except trainer.NoSolutionError as exc:
             print(str(exc), file=sys.stderr)
             return RUNTIME_ERROR
@@ -435,10 +435,10 @@ def _report_train_section(lines, outputs, out_dir, seed, max_shifts, runs):
     lines.append("")
 
 
-def _report_heavy_section(lines, outputs, out_dir):
+def _report_large_window_section(lines, outputs, out_dir):
     lines.append("## Large window (z=8, N=134217728)\n")
     window = WeightWindow(w=9, z=8, origin=(0,) * 9, delta_p=0.5)
-    sols = oracle.enumerate_solutions(window, chunk_size=1 << 20)
+    sols = oracle.enumerate_solutions(window)
     k, n = sols.k, window_size(window)
     path = os.path.join(out_dir, "solutions_z8.bin")
     oracle.write_binary(sols, path)
@@ -473,16 +473,14 @@ def cmd_reproduce(ns, parser) -> int:
     _report_backprop_section(lines, outputs, out_dir, cfg["seed"])
     _report_train_section(lines, outputs, out_dir, cfg["seed"],
                           cfg["max_shifts"], cfg["train_runs"])
-    if ns.heavy:
-        _report_heavy_section(lines, outputs, out_dir)
+    _report_large_window_section(lines, outputs, out_dir)
 
     report = os.path.join(out_dir, "report.md")
     with open(report, "w") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
     outputs.append(report)
-    manifest = RunManifest("reproduce", {**cfg, "heavy": bool(ns.heavy)},
-                           cfg["seed"], __version__, outputs)
+    manifest = RunManifest("reproduce", cfg, cfg["seed"], __version__, outputs)
     _write_manifest(out_dir, "reproduce.manifest.json", manifest)
     n_fail = sum("FAIL" in line for line in lines)
     print(f"reproduce: report at {report}; {n_fail} failing rows")
@@ -553,8 +551,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--max-shifts", type=int, dest="max_shifts")
     p.add_argument("--train-runs", type=int, dest="train_runs")
-    p.add_argument("--heavy", action="store_true",
-                   help="include the 134M-vertex window (slow)")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -5,21 +5,22 @@ correctly. The oracle enumerates a window exhaustively and keeps the sorted
 list of solution indices; that list (not a dense 0/1 array, which would be
 wasteful at 134M vertices) is the marked set the walk searches for.
 
-Three evaluation routes exist on purpose and are tested against each other:
-a scalar per-vertex predicate (evaluate_vertex), a chunked vectorized
-enumerator (enumerate_solutions, optionally multi-threaded), and a plain
-double-loop reference (reference_enumerate). A fourth, scan_window_counts,
-is a float32 fast path that only counts solutions across many candidate
-windows at once; the trainer uses it to locate a promising window and then
-confirms with enumerate_solutions, so its reduced precision can never leak
-into results.
+The 2-2-1 network factors: hidden unit h1 depends only on weights 0-2, h2
+only on weights 3-5, and the output is y = a*h1 + b*h2 - c. Both fast routes
+build the same hidden-unit tables (_hidden) and combine them per (a, b):
+enumerate_solutions lists the exact solution set of one window in float64,
+and scan_window_counts is a float32 path that only counts solutions across
+many candidate windows at once; the trainer uses the scan to locate a
+promising window and then confirms with enumerate_solutions, so its reduced
+precision can never leak into results. Two unfactored routes are kept as
+independent references: a scalar per-vertex predicate (evaluate_vertex) and
+a plain double loop (reference_enumerate).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ _TARGETS_TRUE = np.array([t == 1.0 for t in mlp.XOR_TARGETS])
 
 
 class WindowTooLarge(ValueError):
-    """Enumeration refused: vertex count above the cap and no override."""
+    """Enumeration refused: the window has more than DEFAULT_VERTEX_CAP vertices."""
 
 
 @dataclass
@@ -82,64 +83,69 @@ def reference_enumerate(window: WeightWindow) -> SolutionSet:
     return SolutionSet(window=window, indices=np.array(hits, dtype=np.int64))
 
 
-def _chunk_weights(idx: np.ndarray, window: WeightWindow) -> np.ndarray:
-    """(m, w) weight rows for a block of flat indices."""
-    coords = np.empty((idx.size, window.w), dtype=np.int64)
-    tmp = idx.astype(np.int64)
-    for j in range(window.w):
-        coords[:, j] = tmp % window.z
-        tmp = tmp // window.z
-    origin = np.asarray(window.origin, dtype=np.int64)
-    return window.delta_p * (origin + coords - window.z // 2)
+def _hidden(vals: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
+    """Hidden-unit table sigmoid(x0*w_j + x1*w_{j+1} - w_{j+2}), in out's dtype.
 
-
-def _solution_mask(weights: np.ndarray) -> np.ndarray:
-    """Boolean mask over weight rows: True where XOR is classified perfectly."""
+    vals is (n, 9, z) weight values per window and dimension; out is
+    (n, 4, z, z, z) scratch. Returns out as (n, 4 patterns, z^3 settings).
+    Weight j sits on the last axis, so the flat setting index is
+    c_j + z*c_{j+1} + z^2*c_{j+2}: the vertex index's own digit order.
+    """
+    n, z = vals.shape[0], vals.shape[2]
+    x = _X.astype(out.dtype)
+    out[:] = x[None, :, 0, None, None, None] * vals[:, None, j, None, None, :]
+    out += x[None, :, 1, None, None, None] * vals[:, None, j + 1, None, :, None]
+    out -= vals[:, None, j + 2, :, None, None]
+    np.negative(out, out=out)
     with np.errstate(over="ignore"):
-        u1 = (np.outer(_X[:, 0], weights[:, 0]) + np.outer(_X[:, 1], weights[:, 1])
-              - weights[None, :, 2])
-        u2 = (np.outer(_X[:, 0], weights[:, 3]) + np.outer(_X[:, 1], weights[:, 4])
-              - weights[None, :, 5])
-        h1 = 1.0 / (1.0 + np.exp(-u1))
-        h2 = 1.0 / (1.0 + np.exp(-u2))
-    y = weights[None, :, 6] * h1 + weights[None, :, 7] * h2 - weights[None, :, 8]
-    return ((y >= 0.5) == _TARGETS_TRUE[:, None]).all(axis=0)
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out.reshape(n, 4, z ** 3)
 
 
-def _enumerate_chunk(window: WeightWindow, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    mask = _solution_mask(_chunk_weights(idx, window))
-    return idx[mask]
+def _weight_values(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
+    """(n, 9, z) float64 weight values of each window's dimensions."""
+    return delta_p * (origins[:, :, None] + np.arange(z)[None, None, :] - z // 2)
 
 
-def enumerate_solutions(window: WeightWindow, chunk_size: int = 1 << 16,
-                        workers: int = 1, force: bool = False) -> SolutionSet:
-    """Exact solution set of a window, chunked and optionally threaded.
+def enumerate_solutions(window: WeightWindow) -> SolutionSet:
+    """Exact solution set of a window, in increasing index order.
 
-    Refuses windows above DEFAULT_VERTEX_CAP vertices unless force=True (the
-    z=8 window is under the cap but takes a while; truly huge windows need
-    the explicit override). The result is independent of chunk size and
-    worker count: chunks cover disjoint index ranges and the merge sorts.
+    Uses the 2-2-1 factoring: h1 depends on weights 0-2 only, h2 on 3-5, and
+    y = a*h1 + b*h2 - c. For each output weight b one slab
+    s_p = a*h1 + b*h2 over (pattern, a, h2 setting, h1 setting) is formed in
+    float64; it is laid out in vertex index order, so for each output bias c
+    the hits of (s_p - c >= 0.5) == target_p over all four patterns are flat
+    offsets into the z^7 vertices with that (b, c). Memory is O(z^7), never
+    the whole window. Refuses windows above DEFAULT_VERTEX_CAP vertices.
     """
     _require_mlp_window(window)
     n = window_size(window)
-    if n > DEFAULT_VERTEX_CAP and not force:
+    if n > DEFAULT_VERTEX_CAP:
         raise WindowTooLarge(
-            f"window has {n} vertices, above the cap {DEFAULT_VERTEX_CAP}; "
-            f"pass force=True to enumerate anyway")
-    starts = range(0, n, chunk_size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda s: _enumerate_chunk(window, s, min(s + chunk_size, n)), starts))
-    else:
-        parts = [_enumerate_chunk(window, s, min(s + chunk_size, n)) for s in starts]
-    indices = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+            f"window has {n} vertices, above the cap {DEFAULT_VERTEX_CAP}")
+    z = window.z
+    zc, z7 = z ** 3, z ** 7
+    vals = _weight_values(np.asarray([window.origin], dtype=np.int64), z,
+                          window.delta_p)
+    h1 = _hidden(vals, 0, np.empty((1, 4, z, z, z)))[0]
+    h2 = _hidden(vals, 3, np.empty((1, 4, z, z, z)))[0]
+    a, b, c = vals[0, 6], vals[0, 7], vals[0, 8]
+    ah1 = a[None, :, None] * h1[:, None, :]  # (pattern, a, h1 setting)
+    s = np.empty((4, z, zc, zc))
+    y = np.empty((4, z7))
+    ok = np.empty((4, z7), dtype=bool)
+    parts = [[None] * z for _ in range(z)]  # [c][b], so c-major order is sorted
+    for bi in range(z):
+        np.add(ah1[:, :, None, :], (b[bi] * h2)[:, None, :, None], out=s)
+        for ci in range(z):
+            np.subtract(s.reshape(4, z7), c[ci], out=y)
+            np.greater_equal(y, 0.5, out=ok)
+            np.equal(ok, _TARGETS_TRUE[:, None], out=ok)
+            parts[ci][bi] = np.flatnonzero(ok.all(axis=0)) + (bi * z7 + ci * z * z7)
+    indices = np.concatenate([p for row in parts for p in row])
     return SolutionSet(window=window, indices=indices)
-
-
-def count_solutions(s: SolutionSet) -> int:
-    return s.k
 
 
 # Workspace buffers for scan_window_counts, keyed by (padded block size, z).
@@ -169,27 +175,10 @@ def _scan_workspace(n: int, z: int) -> dict:
 
 def _scan_block(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
     n = origins.shape[0]
-    zc = z ** 3
     w = _scan_workspace(n, z)
-    x0 = _X[:, 0].astype(np.float32)[None, :, None, None, None]
-    x1 = _X[:, 1].astype(np.float32)[None, :, None, None, None]
-    vals = (delta_p * (origins[:, :, None] + np.arange(z)[None, None, :] - z // 2)
-            ).astype(np.float32)
-
-    def hidden(j, u):
-        # u over (n, 4 patterns, z, z, z) for weight dims j, j+1, j+2
-        u[:] = x0 * vals[:, j, None, :, None, None]
-        u += x1 * vals[:, j + 1, None, None, :, None]
-        u -= vals[:, j + 2, None, None, None, :]
-        np.negative(u, out=u)
-        with np.errstate(over="ignore"):
-            np.exp(u, out=u)
-        u += np.float32(1.0)
-        np.reciprocal(u, out=u)
-        return u.reshape(n, 4, zc)
-
-    h1 = hidden(0, w["u1"])
-    h2 = hidden(3, w["u2"])
+    vals = _weight_values(origins, z, delta_p).astype(np.float32)
+    h1 = _hidden(vals, 0, w["u1"])
+    h2 = _hidden(vals, 3, w["u2"])
     A, Bm = w["A"], w["Bm"]
     np.multiply(h1[:, :, :, None], vals[:, 6, None, None, :], out=A)
     np.multiply(h2[:, :, :, None], vals[:, 7, None, None, :], out=Bm)
@@ -244,12 +233,45 @@ def to_json(s: SolutionSet) -> str:
                        "indices": [int(i) for i in s.indices]})
 
 
+def _loads(text):
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+
+
+def _window_from(desc) -> WeightWindow:
+    """The window of a decoded descriptor; ValueError for a malformed one."""
+    try:
+        return from_descriptor(desc)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad window descriptor: {exc!r}") from exc
+
+
+def _checked_indices(idx: np.ndarray, window: WeightWindow) -> np.ndarray:
+    """idx as int64 vertex indices; ValueError unless they are strictly
+    increasing and within [0, window size)."""
+    limit = min(window_size(window), 2 ** 63)
+    if idx.size and (np.any(idx[1:] <= idx[:-1])
+                     or int(idx[0]) < 0 or int(idx[-1]) >= limit):
+        raise ValueError("solution indices must be strictly increasing "
+                         "and within [0, window size)")
+    return idx.astype(np.int64)
+
+
 def from_json(text: str) -> SolutionSet:
-    d = json.loads(text)
-    indices = np.array(d["indices"], dtype=np.int64)
-    if "k" in d and d["k"] != len(indices):
+    """Inverse of to_json; ValueError for any malformed document."""
+    d = _loads(text)
+    if not isinstance(d, dict) or not {"window", "indices"} <= d.keys():
+        raise ValueError("a solution set needs 'window' and 'indices'")
+    raw = d["indices"]
+    if not isinstance(raw, list) or any(type(i) is not int for i in raw):
+        raise ValueError("indices must be a list of integers")
+    if "k" in d and d["k"] != len(raw):
         raise ValueError("k does not match the index list")
-    return SolutionSet(window=from_descriptor(d["window"]), indices=indices)
+    window = _window_from(d["window"])
+    return SolutionSet(window=window,
+                       indices=_checked_indices(np.array(raw, dtype=object), window))
 
 
 def write_binary(s: SolutionSet, path) -> None:
@@ -267,13 +289,23 @@ def write_binary(s: SolutionSet, path) -> None:
 
 
 def read_binary(path) -> SolutionSet:
+    """Inverse of write_binary; ValueError for any malformed or truncated
+    file. Every length field is checked against the file size before use."""
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not a solution-set file")
-        (desc_len,) = struct.unpack("<Q", fh.read(8))
-        window = from_descriptor(json.loads(fh.read(desc_len).decode()))
-        (k,) = struct.unpack("<Q", fh.read(8))
-        deltas = np.frombuffer(fh.read(8 * k), dtype="<u8")
-        if deltas.size != k:
-            raise ValueError("truncated solution-set file")
-    return SolutionSet(window=window, indices=np.cumsum(deltas.astype(np.int64)))
+        data = fh.read()
+    if data[:8] != _MAGIC:
+        raise ValueError("not a solution-set file")
+    if len(data) < 16:
+        raise ValueError("truncated solution-set file")
+    (desc_len,) = struct.unpack_from("<Q", data, 8)
+    body = 16 + desc_len
+    if len(data) < body + 8:
+        raise ValueError("truncated solution-set file")
+    window = _window_from(_loads(data[16:body].decode()))
+    (k,) = struct.unpack_from("<Q", data, body)
+    if len(data) - body - 8 != 8 * k:
+        raise ValueError(f"solution-set file does not hold the {k} indices it declares")
+    deltas = np.frombuffer(data, dtype="<u8", offset=body + 8)
+    # a u64 running sum that wraps shows up as a decrease
+    return SolutionSet(window=window,
+                       indices=_checked_indices(np.cumsum(deltas, dtype=np.uint64), window))

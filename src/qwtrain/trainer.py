@@ -53,6 +53,9 @@ class TrainerConfig:
     count_noise: float = 0.0  # stddev of relative noise on the counted k
 
     def __post_init__(self):
+        if self.w != mlp.N_WEIGHTS:
+            raise ValueError(f"w must be {mlp.N_WEIGHTS}, the weight count of the "
+                             f"2-2-1 XOR network; got {self.w}")
         if not self.delta_p > 0:
             raise ValueError("delta_p must be positive")
         if self.z < 2:
@@ -92,8 +95,8 @@ class NoSolutionError(RuntimeError):
         self.seed = seed
 
 
-def _find_solvable_window(start: WeightWindow, config: TrainerConfig
-                          ) -> tuple[WeightWindow, SolutionSet, int]:
+def find_solvable_window(start: WeightWindow, config: TrainerConfig
+                         ) -> tuple[WeightWindow, SolutionSet, int]:
     """First window along the shift enumeration with at least one solution."""
     sols = enumerate_solutions(start)
     if sols.k > 0:
@@ -103,7 +106,7 @@ def _find_solvable_window(start: WeightWindow, config: TrainerConfig
     # capped so the float32 scan's working set stays modest for larger z.
     cap = max(4, (1 << 21) // (start.z ** 8))
     schedule = [min(b, cap) for b in _SCAN_RAMP]
-    use_scan = start.w == 9 and start.z <= 4
+    use_scan = start.z <= 4
     origin = np.asarray(start.origin, dtype=np.int64)
 
     for first_index, rows in iter_displacements(start.w, start.z, batch=schedule):
@@ -151,7 +154,7 @@ def train(config: TrainerConfig) -> ExperimentResult:
     """One full Algorithm run; deterministic for a given config."""
     rng = substream(config.seed, "measurement")
     start = random_window(config.w, config.z, config.delta_p, config.seed)
-    window, solutions, shifts = _find_solvable_window(start, config)
+    window, solutions, shifts = find_solvable_window(start, config)
 
     n = window_size(window)
     k = solutions.k

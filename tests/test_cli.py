@@ -117,6 +117,13 @@ def test_train_dry_run_prints_steps_without_outputs(tmp_path, capsys):
     assert not (tmp_path / "train_result.json").exists()
 
 
+def test_train_rejects_w_other_than_9(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["train", "--w", "5", "--out-dir", str(tmp_path)])
+    assert e.value.code == 1
+    assert "w must be 9" in capsys.readouterr().err
+
+
 def test_train_no_solution_is_a_runtime_error(tmp_path, capsys):
     assert run(["train", "--seed", "0", "--max-shifts", "5",
                 "--out-dir", str(tmp_path)]) == 2

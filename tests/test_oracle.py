@@ -1,10 +1,14 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qwtrain import mlp, oracle
-from qwtrain.weight_space import WeightWindow, index_to_weights
+from qwtrain.weight_space import (WeightWindow, index_to_weights, to_descriptor,
+                                  window_size)
 
 # z=2 window built around a known zero-error weight vector; 6 solutions
 SOLVABLE = WeightWindow(w=9, z=2, origin=(1, 1, 2, -3, -3, 2, -2, -3, -2),
@@ -27,14 +31,25 @@ def test_enumerate_matches_reference_and_reverifies():
         assert mlp.classification_error(index_to_weights(int(idx), SOLVABLE)) == 0
 
 
-def test_enumerate_is_chunk_and_worker_invariant():
-    base = oracle.enumerate_solutions(SOLVABLE)
-    for chunk in (1, 7, 100, 1 << 16):
-        assert np.array_equal(
-            oracle.enumerate_solutions(SOLVABLE, chunk_size=chunk).indices,
-            base.indices)
-    threaded = oracle.enumerate_solutions(SOLVABLE, chunk_size=64, workers=3)
-    assert np.array_equal(threaded.indices, base.indices)
+@pytest.mark.parametrize("z", (2, 3))
+@pytest.mark.parametrize("delta_p", (0.25, 0.5, 1.0))
+def test_enumerate_matches_reference_across_windows(z, delta_p):
+    # seeded origins with weights within about +-3; the scan picks the first
+    # two solvable windows among them, and the first drawn one rides along
+    rng = np.random.default_rng([z, int(delta_p * 100)])
+    r = round(3 / delta_p)
+    origins = rng.integers(-r, r + 1, size=(4096, 9))
+    solvable = np.flatnonzero(oracle.scan_window_counts(origins, z, delta_p))[:2]
+    assert solvable.size == 2
+    total = 0
+    for o in origins[[0, *solvable]]:
+        window = WeightWindow(w=9, z=z, origin=tuple(int(v) for v in o),
+                              delta_p=delta_p)
+        fast = oracle.enumerate_solutions(window)
+        assert fast.indices.dtype == np.int64
+        assert np.array_equal(fast.indices, oracle.reference_enumerate(window).indices)
+        total += fast.k
+    assert total > 0
 
 
 def test_empty_window_yields_empty_set():
@@ -46,11 +61,8 @@ def test_empty_window_yields_empty_set():
 
 def test_vertex_cap():
     huge = WeightWindow(w=9, z=11, origin=(0,) * 9, delta_p=0.5)
-    with pytest.raises(oracle.WindowTooLarge):
+    with pytest.raises(oracle.WindowTooLarge, match="above the cap"):
         oracle.enumerate_solutions(huge)
-    # force=True bypasses the cap check itself; a z=2 window enumerates fast
-    small = WeightWindow(w=9, z=2, origin=(0,) * 9, delta_p=0.5)
-    oracle.enumerate_solutions(small, force=True)
 
 
 def test_oracle_rejects_non_mlp_windows():
@@ -61,11 +73,6 @@ def test_oracle_rejects_non_mlp_windows():
         oracle.evaluate_vertex(0, narrow)
     with pytest.raises(ValueError, match="9-weight"):
         oracle.reference_enumerate(narrow)
-
-
-def test_count_solutions_reads_the_set():
-    s = oracle.enumerate_solutions(SOLVABLE)
-    assert oracle.count_solutions(s) == s.k == len(s.indices)
 
 
 def test_scan_counts_match_direct_enumeration():
@@ -137,3 +144,145 @@ def test_binary_rejects_foreign_files(tmp_path):
     path.write_bytes(b"NOTASOLS" + b"\x00" * 32)
     with pytest.raises(ValueError):
         oracle.read_binary(path)
+
+
+# ---------------------------------------------------------------- malformed input
+
+U64 = 2 ** 64 - 1
+GOOD_DESC = json.dumps(to_descriptor(SOLVABLE), sort_keys=True).encode()
+
+
+def _solset_bytes(desc=GOOD_DESC, deltas=(3, 4), desc_len=None, k=None):
+    """A binary solution-set file with each field settable on its own."""
+    return (b"QWSOLSET" + struct.pack("<Q", len(desc) if desc_len is None else desc_len)
+            + desc + struct.pack("<Q", len(deltas) if k is None else k)
+            + b"".join(struct.pack("<Q", d) for d in deltas))
+
+
+def _assert_well_formed(s):
+    idx = s.indices
+    assert idx.dtype == np.int64
+    assert np.all(np.diff(idx) > 0)
+    assert idx.size == 0 or 0 <= idx[0] <= idx[-1] < window_size(s.window)
+
+
+def _read_bytes(path, data):
+    path.write_bytes(data)
+    return oracle.read_binary(path)
+
+
+def test_binary_reader_accepts_the_reference_encoding(tmp_path):
+    s = _read_bytes(tmp_path / "ok.bin", _solset_bytes())
+    assert s.window == SOLVABLE
+    assert s.indices.tolist() == [3, 7]
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b"QWSOLSET\x01\x02", id="short-header"),
+    pytest.param(_solset_bytes(desc_len=2 ** 62), id="descriptor-past-end"),
+    pytest.param(_solset_bytes(desc=b"\xff\xfe{}"), id="descriptor-not-utf8"),
+    pytest.param(_solset_bytes(desc=b"{not json"), id="descriptor-not-json"),
+    pytest.param(_solset_bytes(desc=b'{"w": 9}'), id="descriptor-missing-keys"),
+    pytest.param(_solset_bytes(desc=b"[1, 2]"), id="descriptor-a-list"),
+    pytest.param(_solset_bytes(desc=b'{"w": 9, "z": 2, "delta_p": 0.5, "origin": [0]}'),
+                 id="origin-length"),
+    pytest.param(_solset_bytes(desc=b'{"w": Infinity, "z": 2, "delta_p": 0.5, "origin": []}'),
+                 id="w-infinite"),
+    pytest.param(_solset_bytes(desc=b"[" * 100000), id="descriptor-nested-deep"),
+    pytest.param(_solset_bytes(k=2 ** 63), id="count-past-end"),
+    pytest.param(_solset_bytes(k=1), id="trailing-bytes"),
+    pytest.param(_solset_bytes()[:-1], id="truncated-index"),
+    pytest.param(_solset_bytes(deltas=(U64,)), id="negative"),
+    pytest.param(_solset_bytes(deltas=(5, 0)), id="duplicate"),
+    pytest.param(_solset_bytes(deltas=(5, U64)), id="unsorted"),
+    pytest.param(_solset_bytes(deltas=(511, 1)), id="past-the-window"),
+])
+def test_binary_reader_rejects_malformed_files(tmp_path, data):
+    with pytest.raises(ValueError):
+        _read_bytes(tmp_path / "bad.bin", data)
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param("[]", id="a-list"),
+    pytest.param("{}", id="empty"),
+    pytest.param("{not json", id="not-json"),
+    pytest.param("[" * 100000, id="nested-deep"),
+    pytest.param('{"window": {"w": 9}, "indices": []}', id="bad-window"),
+    pytest.param('{"indices": []}', id="no-window"),
+])
+def test_json_reader_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        oracle.from_json(doc)
+
+
+@pytest.mark.parametrize("indices", [
+    pytest.param(-1, id="not-a-list"),
+    pytest.param([1.0], id="float"),
+    pytest.param([True], id="bool"),
+    pytest.param(["3"], id="string"),
+    pytest.param([[3]], id="nested"),
+    pytest.param([-1, 2], id="negative"),
+    pytest.param([5, 3], id="unsorted"),
+    pytest.param([3, 3], id="duplicate"),
+    pytest.param([512], id="past-the-window"),
+    pytest.param([2 ** 70], id="past-int64"),
+])
+def test_json_reader_rejects_bad_indices(indices):
+    doc = {"window": to_descriptor(SOLVABLE), "indices": indices}
+    with pytest.raises(ValueError):
+        oracle.from_json(json.dumps(doc))
+
+
+_FUZZ = settings(max_examples=200, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["w", "z", "delta_p", "origin", "x"]), inner,
+                      max_size=5),
+    max_leaves=12)
+_DESCRIPTOR = st.fixed_dictionaries({
+    "w": st.integers(-2, 12) | _JSON, "z": st.integers(-2, 5) | _JSON,
+    "delta_p": st.floats() | _JSON,
+    "origin": st.lists(st.integers(-9, 9), max_size=12) | _JSON})
+
+
+@_FUZZ
+@given(desc=_DESCRIPTOR.map(lambda d: json.dumps(d).encode()) | st.binary(max_size=40),
+       desc_len=st.none() | st.integers(0, U64), k=st.none() | st.integers(0, U64),
+       deltas=st.lists(st.integers(0, U64), max_size=6))
+def test_binary_reader_fuzz_raises_only_value_error(tmp_path, desc, desc_len, k, deltas):
+    try:
+        s = _read_bytes(tmp_path / "fuzz.bin",
+                        _solset_bytes(desc=desc, deltas=deltas, desc_len=desc_len, k=k))
+    except ValueError:
+        return
+    _assert_well_formed(s)
+
+
+@_FUZZ
+@given(pos=st.integers(0, len(_solset_bytes()) - 1), byte=st.integers(0, 255),
+       cut=st.booleans())
+def test_binary_reader_fuzz_corrupted_files(tmp_path, pos, byte, cut):
+    data = bytearray(_solset_bytes())
+    data[pos] = byte
+    try:
+        s = _read_bytes(tmp_path / "fuzz.bin", bytes(data[:pos] if cut else data))
+    except ValueError:
+        return
+    assert not cut
+    _assert_well_formed(s)
+
+
+@_FUZZ
+@given(window=_DESCRIPTOR | _JSON, indices=st.lists(st.integers(), max_size=6) | _JSON,
+       k=st.none() | st.integers(0, 8))
+def test_json_reader_fuzz_raises_only_value_error(window, indices, k):
+    doc = {"window": window, "indices": indices}
+    if k is not None:
+        doc["k"] = k
+    try:
+        s = oracle.from_json(json.dumps(doc))
+    except ValueError:
+        return
+    _assert_well_formed(s)

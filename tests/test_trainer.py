@@ -10,6 +10,8 @@ from qwtrain.weight_space import WeightWindow, index_to_weights, window_size
 
 
 def test_config_validation():
+    with pytest.raises(ValueError, match="w must be 9"):
+        trainer.TrainerConfig(w=5)
     with pytest.raises(ValueError):
         trainer.TrainerConfig(delta_p=0.0)
     with pytest.raises(ValueError):
@@ -73,9 +75,9 @@ def test_find_solvable_window_respects_the_shift_cap():
     # seed 3 needs 2950 shifts; a cap just below must fail, just above must not
     start = trainer.random_window(9, 2, 0.5, seed=3)
     with pytest.raises(trainer.NoSolutionError):
-        trainer._find_solvable_window(start, trainer.TrainerConfig(
+        trainer.find_solvable_window(start, trainer.TrainerConfig(
             seed=3, max_window_shifts=2949))
-    _, sols, shifts = trainer._find_solvable_window(start, trainer.TrainerConfig(
+    _, sols, shifts = trainer.find_solvable_window(start, trainer.TrainerConfig(
         seed=3, max_window_shifts=2950))
     assert shifts == 2950
     assert sols.k == 2
