@@ -72,6 +72,8 @@ def step_1d(state: CoinedWalkState1D) -> CoinedWalkState1D:
 
 def walk_1d(steps: int, init: str = "asymmetric") -> CoinedWalkState1D:
     """Run `steps` steps from the named initial condition."""
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     if init == "asymmetric":
         state = init_1d_asymmetric()
     elif init == "symmetric":
@@ -175,6 +177,10 @@ def step_nd(state: CoinedWalkStateND, coin: np.ndarray) -> CoinedWalkStateND:
 
 
 def walk_nd(dims: int, steps: int, coin: np.ndarray | None = None) -> CoinedWalkStateND:
+    if dims < 1:
+        raise ValueError(f"dims must be at least 1, got {dims}")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     if coin is None:
         coin = hadamard_coin(dims)
     state = init_nd(dims)

@@ -45,7 +45,6 @@ _SCAN_RAMP = (1024, 2048, 4096, 8192, 16384)
 class TrainerConfig:
     delta_p: float = 0.5
     z: int = 2
-    w: int = 9
     l: int = 1
     seed: int = 0
     rounding: str = "ceiling"
@@ -53,9 +52,6 @@ class TrainerConfig:
     count_noise: float = 0.0  # stddev of relative noise on the counted k
 
     def __post_init__(self):
-        if self.w != mlp.N_WEIGHTS:
-            raise ValueError(f"w must be {mlp.N_WEIGHTS}, the weight count of the "
-                             f"2-2-1 XOR network; got {self.w}")
         if not self.delta_p > 0:
             raise ValueError("delta_p must be positive")
         if self.z < 2:
@@ -66,6 +62,8 @@ class TrainerConfig:
             raise ValueError(f"rounding must be one of {ROUNDING_MODES}")
         if self.count_noise < 0:
             raise ValueError("count_noise must be >= 0")
+        if self.max_window_shifts < 0:
+            raise ValueError("max_window_shifts must be >= 0")
 
 
 @dataclass
@@ -153,7 +151,7 @@ def sample_vertex(outcome: str, solutions: SolutionSet, window: WeightWindow,
 def train(config: TrainerConfig) -> ExperimentResult:
     """One full Algorithm run; deterministic for a given config."""
     rng = substream(config.seed, "measurement")
-    start = random_window(config.w, config.z, config.delta_p, config.seed)
+    start = random_window(mlp.N_WEIGHTS, config.z, config.delta_p, config.seed)
     window, solutions, shifts = find_solvable_window(start, config)
 
     n = window_size(window)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -90,6 +91,63 @@ def test_config_file_unknown_key(tmp_path):
     assert e.value.code == 1
 
 
+@pytest.mark.parametrize("subcommand,text,message", [
+    ("walk1d", "5", "config file must hold a JSON object, got int"),
+    ("walk1d", "[1, 2]", "config file must hold a JSON object, got list"),
+    ("walk1d", "{not json", "cannot read config file"),
+    ("walk1d", '{"steps": "5"}', "steps must be of type int, got '5'"),
+    ("walk1d", '{"steps": true}', "steps must be of type int, got True"),
+    ("walk1d", '{"steps": 2.0}', "steps must be of type int, got 2.0"),
+    ("walk1d", '{"init": "sideways"}', "init must be one of"),
+    ("walkc", '{"rounding": "up"}', "rounding must be one of"),
+    ("train", '{"z": null}', "z must be of type int, got None"),
+    ("train", '{"delta_p": "0.5"}', "delta_p must be of type float"),
+    ("train", '{"count_noise": false}', "count_noise must be of type float"),
+    ("backprop", '{"lr": NaN}', "lr must be finite"),
+])
+def test_config_file_values_are_validated(tmp_path, capsys, subcommand, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as e:
+        run([subcommand, "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert e.value.code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_int_config_value_for_a_float_key_matches_the_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lr": 1, "runs": 0}))
+    assert run(["backprop", "--config", str(cfg), "--out", "f.csv",
+                "--out-dir", str(tmp_path)]) == 0
+    assert run(["backprop", "--lr", "1", "--runs", "0", "--out", "g.csv",
+                "--out-dir", str(tmp_path)]) == 0
+    from_file = json.loads((tmp_path / "f.csv.manifest.json").read_text())
+    from_flag = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert from_file["config"]["lr"] == 1.0
+    assert isinstance(from_file["config"]["lr"], float)
+    del from_file["config"]["out"], from_flag["config"]["out"]
+    del from_file["outputs"], from_flag["outputs"]
+    assert from_file == from_flag
+
+
+@pytest.mark.parametrize("args", [
+    ["walknd", "--dims", "0"],
+    ["walknd", "--steps", "-1"],
+    ["train", "--max-shifts", "-5"],
+    ["backprop", "--jobs", "-3"],
+    ["backprop", "--jobs", "0"],
+    ["backprop", "--runs", "-1"],
+    ["reproduce", "--train-runs", "-1"],
+    ["reproduce", "--max-shifts", "-1"],
+], ids=" ".join)
+def test_out_of_range_run_sizes_are_usage_errors(tmp_path, args):
+    with pytest.raises(SystemExit) as e:
+        run(args + ["--out-dir", str(tmp_path)])
+    assert e.value.code == 1
+    assert list(tmp_path.iterdir()) == []  # rejected before any output
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))
     assert run(["walk1d", "--steps", "1", "--out", "e.csv"]) == 0
@@ -117,11 +175,19 @@ def test_train_dry_run_prints_steps_without_outputs(tmp_path, capsys):
     assert not (tmp_path / "train_result.json").exists()
 
 
-def test_train_rejects_w_other_than_9(tmp_path, capsys):
+def test_dropped_options_are_unknown_keys(tmp_path, capsys):
+    # train's weight count is fixed at 9 and the walks draw no random numbers
+    for subcommand, key in (("train", "w"), ("walk1d", "seed"),
+                            ("walknd", "seed"), ("walkc", "seed")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 9}))
+        with pytest.raises(SystemExit) as e:
+            run([subcommand, "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert e.value.code == 1
+        assert "unknown config keys" in capsys.readouterr().err
     with pytest.raises(SystemExit) as e:
-        run(["train", "--w", "5", "--out-dir", str(tmp_path)])
+        run(["train", "--w", "9", "--out-dir", str(tmp_path)])
     assert e.value.code == 1
-    assert "w must be 9" in capsys.readouterr().err
 
 
 def test_train_no_solution_is_a_runtime_error(tmp_path, capsys):
@@ -157,3 +223,16 @@ def test_epochs_summary_matches_hand_stats():
     assert s["min"] == 2 and s["max"] == 9
     assert s["mean"] == pytest.approx(5.0)
     assert s["std"] == pytest.approx(2.13808993, abs=1e-6)
+
+
+def test_reproduce_end_to_end(tmp_path, capsys):
+    assert run(["reproduce", "--train-runs", "2", "--out-dir", str(tmp_path)]) == 0
+    assert "0 failing rows" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "reproduce.manifest.json").read_text())
+    assert manifest["config"] == {"seed": 500, "max_shifts": 100000, "train_runs": 2}
+    assert manifest["outputs"]
+    for path in manifest["outputs"]:
+        assert os.path.exists(path), path
+    report = (tmp_path / "report.md").read_text()
+    assert "k = 3240" in report
+    assert "FAIL" not in report

@@ -10,8 +10,6 @@ from qwtrain.weight_space import WeightWindow, index_to_weights, window_size
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="w must be 9"):
-        trainer.TrainerConfig(w=5)
     with pytest.raises(ValueError):
         trainer.TrainerConfig(delta_p=0.0)
     with pytest.raises(ValueError):
@@ -22,11 +20,13 @@ def test_config_validation():
         trainer.TrainerConfig(rounding="up")
     with pytest.raises(ValueError):
         trainer.TrainerConfig(count_noise=-0.1)
+    with pytest.raises(ValueError, match="max_window_shifts"):
+        trainer.TrainerConfig(max_window_shifts=-1)
 
 
 def test_defaults_match_the_reference_setup():
     cfg = trainer.TrainerConfig()
-    assert (cfg.delta_p, cfg.z, cfg.w, cfg.l) == (0.5, 2, 9, 1)
+    assert (cfg.delta_p, cfg.z, cfg.l) == (0.5, 2, 1)
     assert cfg.rounding == "ceiling"
     assert cfg.max_window_shifts == 10000
 
