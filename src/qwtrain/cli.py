@@ -168,9 +168,8 @@ def cmd_train_dry_run(cfg, out_dir):
 
 # ---------------------------------------------------------------- backprop
 
-def _one_backprop(args) -> tuple[float, int, mlp.TrainResult]:
-    lr, seed = args
-    return lr, seed, mlp.backprop_train(mlp.BackpropConfig(learning_rate=lr, seed=seed))
+def _one_backprop(config: mlp.BackpropConfig) -> tuple[float, int, mlp.TrainResult]:
+    return config.learning_rate, config.seed, mlp.backprop_train(config)
 
 
 def epochs_summary(results) -> dict:
@@ -187,11 +186,10 @@ def epochs_summary(results) -> dict:
 def cmd_backprop(cfg, out_dir):
     if cfg["runs"] < 0:
         raise ValueError("runs must be non-negative")
-    if cfg["lr"] <= 0:
-        raise ValueError("lr must be positive")
     if cfg["jobs"] < 1:
         raise ValueError("jobs must be at least 1")
-    tasks = [(cfg["lr"], cfg["seed"] + i) for i in range(cfg["runs"])]
+    first = mlp.BackpropConfig(learning_rate=cfg["lr"], seed=cfg["seed"])
+    tasks = [replace(first, seed=first.seed + i) for i in range(cfg["runs"])]
     if cfg["jobs"] > 1 and tasks:
         with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
             rows = list(pool.map(_one_backprop, tasks))
@@ -308,7 +306,8 @@ def _report_backprop_section(lines, outputs, out_dir, seed):
     runs = []
     for lr, n_runs in ((reference.BACKPROP_FAST_LR, reference.BACKPROP_FAST_RUNS),
                        (reference.BACKPROP_SLOW_LR, reference.BACKPROP_SLOW_RUNS)):
-        rows = [_one_backprop((lr, seed + i)) for i in range(n_runs)]
+        rows = [_one_backprop(mlp.BackpropConfig(learning_rate=lr, seed=seed + i))
+                for i in range(n_runs)]
         path = os.path.join(out_dir, f"backprop_lr_{lr}.csv")
         mlp.export_train_results(rows, path)
         outputs.append(path)

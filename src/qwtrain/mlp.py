@@ -103,6 +103,8 @@ class BackpropConfig:
             raise ValueError("learning_rate must be positive")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

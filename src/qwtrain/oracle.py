@@ -10,11 +10,17 @@ only on weights 3-5, and the output is y = a*h1 + b*h2 - c. Both fast routes
 build the same hidden-unit tables (_hidden) and combine them per (a, b):
 enumerate_solutions lists the exact solution set of one window in float64,
 and scan_window_counts is a float32 path that only counts solutions across
-many candidate windows at once; the trainer uses the scan to locate a
-promising window and then confirms with enumerate_solutions, so its reduced
-precision can never leak into results. Two unfactored routes are kept as
-independent references: a scalar per-vertex predicate (evaluate_vertex) and
-a plain double loop (reference_enumerate).
+many candidate windows at once. The trainer confirms every window the scan
+counts as solvable with enumerate_solutions, so a float32 over-count costs one
+confirmation; but a window the scan counts as empty is never confirmed, so the
+float32 counts decide which windows the search can choose. What holds: the
+scan's bound test only drops windows that cannot count a solution (rounding is
+monotone), and the counts it returns are exactly the float32 interval counts.
+What does not: the float32 count can be zero for a window that has float64
+solutions; among sampled windows this happened only at z >= 3, and rarely.
+Two unfactored routes are kept as independent references: a scalar
+per-vertex predicate (evaluate_vertex) and a plain double loop
+(reference_enumerate).
 """
 
 from __future__ import annotations
@@ -86,27 +92,27 @@ def reference_enumerate(window: WeightWindow) -> SolutionSet:
 def _hidden(vals: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
     """Hidden-unit table sigmoid(x0*w_j + x1*w_{j+1} - w_{j+2}), in out's dtype.
 
-    vals is (n, 9, z) weight values per window and dimension; out is
-    (n, 4, z, z, z) scratch. Returns out as (n, 4 patterns, z^3 settings).
-    Weight j sits on the last axis, so the flat setting index is
-    c_j + z*c_{j+1} + z^2*c_{j+2}: the vertex index's own digit order.
+    vals is (9, z, n) weight values per dimension and window, the window axis
+    last; out is (4, z, z, z, n) scratch. Returns out as (4 patterns, z^3
+    settings, n). Weight j sits on the last setting axis, so the flat setting
+    index is c_j + z*c_{j+1} + z^2*c_{j+2}: the vertex index's own digit order.
     """
-    n, z = vals.shape[0], vals.shape[2]
+    z, n = vals.shape[1], vals.shape[2]
     x = _X.astype(out.dtype)
-    out[:] = x[None, :, 0, None, None, None] * vals[:, None, j, None, None, :]
-    out += x[None, :, 1, None, None, None] * vals[:, None, j + 1, None, :, None]
-    out -= vals[:, None, j + 2, :, None, None]
+    out[:] = x[:, 0, None, None, None, None] * vals[j]
+    out += x[:, 1, None, None, None, None] * vals[j + 1, :, None, :]
+    out -= vals[j + 2, :, None, None, :]
     np.negative(out, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
     np.reciprocal(out, out=out)
-    return out.reshape(n, 4, z ** 3)
+    return out.reshape(4, z ** 3, n)
 
 
 def _weight_values(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
-    """(n, 9, z) float64 weight values of each window's dimensions."""
-    return delta_p * (origins[:, :, None] + np.arange(z)[None, None, :] - z // 2)
+    """(9, z, n) float64 weight values of each window's dimensions."""
+    return delta_p * (origins.T[:, None, :] + np.arange(z)[None, :, None] - z // 2)
 
 
 def enumerate_solutions(window: WeightWindow) -> SolutionSet:
@@ -129,9 +135,9 @@ def enumerate_solutions(window: WeightWindow) -> SolutionSet:
     zc, z7 = z ** 3, z ** 7
     vals = _weight_values(np.asarray([window.origin], dtype=np.int64), z,
                           window.delta_p)
-    h1 = _hidden(vals, 0, np.empty((1, 4, z, z, z)))[0]
-    h2 = _hidden(vals, 3, np.empty((1, 4, z, z, z)))[0]
-    a, b, c = vals[0, 6], vals[0, 7], vals[0, 8]
+    h1 = _hidden(vals, 0, np.empty((4, z, z, z, 1)))[:, :, 0]
+    h2 = _hidden(vals, 3, np.empty((4, z, z, z, 1)))[:, :, 0]
+    a, b, c = vals[6, :, 0], vals[7, :, 0], vals[8, :, 0]
     ah1 = a[None, :, None] * h1[:, None, :]  # (pattern, a, h1 setting)
     s = np.empty((4, z, zc, zc))
     y = np.empty((4, z7))
@@ -148,83 +154,89 @@ def enumerate_solutions(window: WeightWindow) -> SolutionSet:
     return SolutionSet(window=window, indices=indices)
 
 
-# Workspace buffers for scan_window_counts, keyed by (padded block size, z).
-# Padding to powers of two keeps the cache bounded while the trainer feeds
-# batches of arbitrary truncated sizes.
-_SCAN_WS: dict = {}
+_SCAN_BLOCK = 1 << 16  # float32 elements per working array of the scan
 
 
-def _scan_workspace(n: int, z: int) -> dict:
-    cap = 1 << max(5, (n - 1).bit_length())
-    key = (cap, z)
-    if key not in _SCAN_WS:
-        zc = z ** 3
-        _SCAN_WS[key] = {
-            "u1": np.empty((cap, 4, z, z, z), np.float32),
-            "u2": np.empty((cap, 4, z, z, z), np.float32),
-            "A": np.empty((cap, 4, zc, z), np.float32),
-            "Bm": np.empty((cap, 4, zc, z), np.float32),
-            "lo": np.empty((cap, zc, z, zc, z), np.float32),
-            "hi": np.empty((cap, zc, z, zc, z), np.float32),
-            "tmp": np.empty((cap, zc, z, zc, z), np.float32),
-            "m1": np.empty((cap, zc, z, zc, z), bool),
-            "m2": np.empty((cap, zc, z, zc, z), bool),
-        }
-    return {name: arr[:n] for name, arr in _SCAN_WS[key].items()}
+def _count_pairs(A: np.ndarray, B: np.ndarray, cshift: np.ndarray) -> np.ndarray:
+    """Counts of windows whose tables survived the bound test.
 
-
-def _scan_block(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
-    n = origins.shape[0]
-    w = _scan_workspace(n, z)
-    vals = _weight_values(origins, z, delta_p).astype(np.float32)
-    h1 = _hidden(vals, 0, w["u1"])
-    h2 = _hidden(vals, 3, w["u2"])
-    A, Bm = w["A"], w["Bm"]
-    np.multiply(h1[:, :, :, None], vals[:, 6, None, None, :], out=A)
-    np.multiply(h2[:, :, :, None], vals[:, 7, None, None, :], out=Bm)
-
-    # s_p = a*h1 + b*h2 over (n, h1 choice, a, h2 choice, b); the c interval
-    # is (max(s_00, s_11) - 0.5, min(s_01, s_10) - 0.5], folded into c + 0.5
-    lo, hi, tmp = w["lo"], w["hi"], w["tmp"]
-    np.add(A[:, 0, :, :, None, None], Bm[:, 0, None, None, :, :], out=lo)
-    np.add(A[:, 3, :, :, None, None], Bm[:, 3, None, None, :, :], out=tmp)
-    np.maximum(lo, tmp, out=lo)
-    np.add(A[:, 1, :, :, None, None], Bm[:, 1, None, None, :, :], out=hi)
-    np.add(A[:, 2, :, :, None, None], Bm[:, 2, None, None, :, :], out=tmp)
-    np.minimum(hi, tmp, out=hi)
-
-    cshift = vals[:, 8] + np.float32(0.5)
-    counts = np.zeros(n, dtype=np.int64)
-    m1, m2 = w["m1"], w["m2"]
-    for ci in range(z):
-        cv = cshift[:, ci][:, None, None, None, None]
-        np.greater(cv, lo, out=m1)
-        np.less_equal(cv, hi, out=m2)
-        np.logical_and(m1, m2, out=m1)
-        counts += m1.reshape(n, -1).sum(axis=1)
+    A and B are (4, z^4, m) tables, cshift is (z, m). Forms the c' interval
+    (lo, hi] = (max(s0, s3), min(s1, s2)] of every (a-side, b-side) pair in
+    blocks of about _SCAN_BLOCK elements, windows innermost, and tests the z
+    values of c' only where lo < hi.
+    """
+    z4, m = A.shape[1], A.shape[2]
+    z8 = z4 * z4
+    nb = min(m, max(1, _SCAN_BLOCK // z8))
+    lo_buf, hi_buf, tmp_buf = (np.empty(z8 * nb, np.float32) for _ in range(3))
+    mask_buf = np.empty(z8 * nb, bool)
+    counts = np.zeros(m, dtype=np.int64)
+    for i in range(0, m, nb):
+        k = min(nb, m - i)
+        lo, hi, tmp, mask = (buf[:z8 * k].reshape(z4, z4, k)
+                             for buf in (lo_buf, hi_buf, tmp_buf, mask_buf))
+        a, b = A[:, :, None, i:i + k], B[:, None, :, i:i + k]
+        np.add(a[0], b[0], out=lo)
+        np.add(a[3], b[3], out=tmp)
+        np.maximum(lo, tmp, out=lo)
+        np.add(a[1], b[1], out=hi)
+        np.add(a[2], b[2], out=tmp)
+        np.minimum(hi, tmp, out=hi)
+        np.less(lo, hi, out=mask)
+        flat = np.flatnonzero(mask_buf[:z8 * k])
+        win = flat % k
+        lo_v, hi_v = lo_buf[flat], hi_buf[flat]
+        for cv in cshift[:, i:i + k]:
+            c = cv[win]
+            counts[i:i + k] += np.bincount(win[(c > lo_v) & (c <= hi_v)], minlength=k)
     return counts
 
 
 def scan_window_counts(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
     """Solution count per candidate window, float32, many windows at once.
 
-    origins is (B, 9); returns (B,) int64 counts. Exploits the 2-2-1 shape:
-    for fixed hidden choices and output weights a, b, the output bias c enters
-    y = s - c monotonically, so XOR-correctness is an interval test on c
-    instead of a test per vertex. Counts are float32-accurate; callers that
-    need the exact set confirm hits with enumerate_solutions. Work happens in
-    cache-sized blocks on reused buffers; results are block-size independent.
+    origins is (B, 9) integers; returns (B,) int64 counts. Exploits the 2-2-1
+    shape: with s_p = a*h1 + b*h2 for fixed hidden choices and output weights,
+    the output bias c enters y = s_p - c monotonically, so XOR-correctness is
+    the interval test max(s_00, s_11) < c + 0.5 <= min(s_01, s_10) on c
+    instead of a test per vertex, all in float32. The a*h1 and b*h2 tables
+    are built with the window axis last. A window is dropped unless some
+    c + 0.5 lies in (max_p(min A_p + min B_p), min_p(max A_p + max B_p)] over
+    p = 00, 11 and p = 01, 10 respectively; rounding is monotone, so these
+    float32 sums bound every pair's sum and the test never drops a counted
+    solution. The surviving windows get the pairwise test (_count_pairs).
+    Counts are the float32 interval counts, exactly and independent of the
+    batch size. They can differ from the float64 count of enumerate_solutions,
+    in either direction, so callers that need the exact set confirm hits
+    with it.
     """
-    origins = np.asarray(origins, dtype=np.int64)
+    origins = np.asarray(origins)
     if origins.ndim != 2 or origins.shape[1] != 9:
         raise ValueError("origins must be (B, 9)")
-    B = origins.shape[0]
-    block = max(32, (1 << 20) // max(z ** 8, 1))
-    block = 1 << (block.bit_length() - 1)
-    counts = np.empty(B, dtype=np.int64)
-    for i in range(0, B, block):
-        j = min(i + block, B)
-        counts[i:j] = _scan_block(origins[i:j], z, delta_p)
+    if not np.issubdtype(origins.dtype, np.integer):
+        raise ValueError(f"origins must be integers, got {origins.dtype}")
+    if z < 1:
+        raise ValueError(f"z must be positive, got {z}")
+    if not (np.isfinite(delta_p) and delta_p > 0):
+        raise ValueError(f"delta_p must be finite and positive, got {delta_p}")
+    origins = origins.astype(np.int64, copy=False)
+    n_all, z4 = origins.shape[0], z ** 4
+    step = max(1, _SCAN_BLOCK // (4 * z4))
+    counts = np.zeros(n_all, dtype=np.int64)
+    for i in range(0, n_all, step):
+        vals = _weight_values(origins[i:i + step], z, delta_p).astype(np.float32)
+        n = vals.shape[2]
+        h1 = _hidden(vals, 0, np.empty((4, z, z, z, n), np.float32))
+        h2 = _hidden(vals, 3, np.empty((4, z, z, z, n), np.float32))
+        A = (h1[:, :, None, :] * vals[6]).reshape(4, z4, n)
+        B = (h2[:, :, None, :] * vals[7]).reshape(4, z4, n)
+        cshift = vals[8] + np.float32(0.5)
+        lo = np.maximum(A[0].min(0) + B[0].min(0), A[3].min(0) + B[3].min(0))
+        hi = np.minimum(A[1].max(0) + B[1].max(0), A[2].max(0) + B[2].max(0))
+        live = np.flatnonzero(((cshift > lo) & (cshift <= hi)).any(axis=0))
+        if live.size:
+            counts[i + live] = _count_pairs(A[:, :, live], B[:, :, live],
+                                            cshift[:, live])
     return counts
 
 

@@ -16,8 +16,9 @@ The walk itself never sees vertex identities; it runs entirely in the
 
 For the shift search the trainer scans candidate origins in batches with the
 oracle's float32 counting fast path and confirms any hit with the exact
-enumerator, so a shift loop over thousands of windows stays cheap without
-changing which window is chosen.
+enumerator, so a shift loop over thousands of windows stays cheap. A window
+the scan counts as empty is skipped without confirmation; the oracle module
+says what that relies on.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class TrainerConfig:
             raise ValueError("count_noise must be >= 0")
         if self.max_window_shifts < 0:
             raise ValueError("max_window_shifts must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -101,7 +104,8 @@ def find_solvable_window(start: WeightWindow, config: TrainerConfig
         return start, sols, 0
 
     # Counting scan batches: ramp up so the common early hit costs little,
-    # capped so the float32 scan's working set stays modest for larger z.
+    # capped for larger z, where each window costs more, so a batch scans
+    # few windows past the first hit.
     cap = max(4, (1 << 21) // (start.z ** 8))
     schedule = [min(b, cap) for b in _SCAN_RAMP]
     use_scan = start.z <= 4

@@ -140,6 +140,10 @@ def test_int_config_value_for_a_float_key_matches_the_flag(tmp_path):
     ["backprop", "--runs", "-1"],
     ["reproduce", "--train-runs", "-1"],
     ["reproduce", "--max-shifts", "-1"],
+    ["train", "--seed", "-1"],
+    ["backprop", "--seed", "-1"],
+    ["backprop", "--seed", "-1", "--runs", "0"],
+    ["reproduce", "--seed", "-1"],
 ], ids=" ".join)
 def test_out_of_range_run_sizes_are_usage_errors(tmp_path, args):
     with pytest.raises(SystemExit) as e:

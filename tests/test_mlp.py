@@ -78,6 +78,8 @@ def test_config_validation():
         mlp.BackpropConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         mlp.BackpropConfig(max_epochs=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        mlp.BackpropConfig(seed=-1)
 
 
 def test_init_weights_deterministic_and_in_range():

@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qwtrain import mlp, oracle
-from qwtrain.weight_space import (WeightWindow, index_to_weights, to_descriptor,
-                                  window_size)
+from qwtrain.weight_space import (WeightWindow, index_to_weights,
+                                  iter_displacements, random_window,
+                                  to_descriptor, window_size)
 
 # z=2 window built around a known zero-error weight vector; 6 solutions
 SOLVABLE = WeightWindow(w=9, z=2, origin=(1, 1, 2, -3, -3, 2, -2, -3, -2),
@@ -75,30 +76,153 @@ def test_oracle_rejects_non_mlp_windows():
         oracle.reference_enumerate(narrow)
 
 
+def _ring_batches(z, delta_p, seeds, rows_per_seed):
+    """Trainer-shaped scan input: each seed's random start window plus the
+    first rows of its shift enumeration."""
+    parts = []
+    for seed in seeds:
+        start = random_window(9, z, delta_p, seed)
+        _, rows = next(iter_displacements(9, z, batch=2 * rows_per_seed))
+        parts.append(np.vstack([start.origin, start.origin + rows[:rows_per_seed - 1]]))
+    return np.vstack(parts)
+
+
+def _exact_counts(origins, z, delta_p):
+    return np.array([oracle.enumerate_solutions(
+        WeightWindow(w=9, z=z, origin=tuple(int(x) for x in o), delta_p=delta_p)).k
+        for o in origins])
+
+
+def _float32_interval_counts(origins, z, delta_p):
+    """What the scan must return: per window, the number of (a-side, b-side,
+    c) triples with max(s0, s3) < c + 0.5 <= min(s1, s2), s_p = A_p + B_p in
+    float32, over every pair and with no bound test."""
+    vals = oracle._weight_values(np.asarray(origins, dtype=np.int64), z,
+                                 delta_p).astype(np.float32)
+    n = vals.shape[2]
+    h1 = oracle._hidden(vals, 0, np.empty((4, z, z, z, n), np.float32))
+    h2 = oracle._hidden(vals, 3, np.empty((4, z, z, z, n), np.float32))
+    counts = []
+    for w in range(n):
+        A = (h1[:, :, None, w] * vals[6, :, w]).reshape(4, -1)
+        B = (h2[:, :, None, w] * vals[7, :, w]).reshape(4, -1)
+        s = A[:, :, None] + B[:, None, :]
+        lo, hi = np.maximum(s[0], s[3]), np.minimum(s[1], s[2])
+        counts.append(sum(int(np.count_nonzero((c > lo) & (c <= hi)))
+                          for c in vals[8, :, w] + np.float32(0.5)))
+    return np.array(counts)
+
+
 def test_scan_counts_match_direct_enumeration():
     rng = np.random.default_rng(20)
     base = np.array(SOLVABLE.origin)
     origins = np.vstack([base + rng.integers(-1, 2, size=(60, 9)),
                          rng.integers(-2, 3, size=(20, 9))])
     counts = oracle.scan_window_counts(origins, 2, 0.5)
-    for o, c in zip(origins, counts):
-        win = WeightWindow(w=9, z=2, origin=tuple(int(x) for x in o), delta_p=0.5)
-        assert oracle.enumerate_solutions(win).k == c
+    assert np.array_equal(counts, _exact_counts(origins, 2, 0.5))
     assert (counts > 0).any()
 
 
+@pytest.mark.parametrize("z,rows_per_seed", [(2, 1024), (3, 128), (4, 16)])
+@pytest.mark.parametrize("delta_p", (0.5, 1.0, 1.3))
+def test_scan_counts_match_direct_enumeration_on_ring_batches(z, rows_per_seed, delta_p):
+    # the bound test drops most windows; the solvable ones must survive it
+    origins = _ring_batches(z, delta_p, range(4), rows_per_seed)
+    counts = oracle.scan_window_counts(origins, z, delta_p)
+    assert np.array_equal(counts, _exact_counts(origins, z, delta_p))
+    assert np.count_nonzero(counts) >= 2
+
+
+@given(st.sampled_from((2, 3)),
+       st.sampled_from((0.25, 0.5, 0.7, 1.0, 1.3)),
+       st.lists(st.integers(-2, 2), min_size=9, max_size=9))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_scan_count_equals_enumerated_k(z, delta_p, offsets):
+    # offsets around a solvable origin, so solvable windows are common. The
+    # float32 and float64 counts are not equal everywhere: some z=3 and z=4
+    # windows further out differ (ROADMAP.md item 3), none in these examples.
+    origin = np.add(SOLVABLE.origin, offsets)
+    window = WeightWindow(w=9, z=z, origin=tuple(int(x) for x in origin),
+                          delta_p=delta_p)
+    count = oracle.scan_window_counts(origin[None, :], z, delta_p)
+    assert count.dtype == np.int64
+    assert count[0] == oracle.enumerate_solutions(window).k
+
+
+# z=3, delta_p 0.5: float32 counts 0 where float64 finds 2 solutions
+FLOAT32_MISS = (-2, 2, 6, 1, -2, -5, -3, -3, -2)
+
+
+@pytest.mark.parametrize("z,rows_per_seed", [(2, 1024), (3, 128), (4, 16)])
+@pytest.mark.parametrize("delta_p", (0.5, 1.0, 1.3))
+def test_scan_counts_equal_float32_interval_counts(z, rows_per_seed, delta_p):
+    # the invariant the kernel keeps exactly, whatever float64 says
+    origins = np.vstack([_ring_batches(z, delta_p, range(4), rows_per_seed),
+                         FLOAT32_MISS])
+    counts = oracle.scan_window_counts(origins, z, delta_p)
+    assert np.array_equal(counts, _float32_interval_counts(origins, z, delta_p))
+    assert np.count_nonzero(counts) >= 2
+
+
+def test_scan_keeps_the_float32_count_where_float64_differs():
+    window = WeightWindow(w=9, z=3, origin=FLOAT32_MISS, delta_p=0.5)
+    assert oracle.enumerate_solutions(window).k == 2
+    origins = np.array([FLOAT32_MISS])
+    assert oracle.scan_window_counts(origins, 3, 0.5)[0] == 0
+    assert _float32_interval_counts(origins, 3, 0.5)[0] == 0
+
+
+@given(st.sampled_from((2, 3)),
+       st.floats(0.1, 1.5),
+       st.lists(st.lists(st.integers(-6, 6), min_size=9, max_size=9),
+                min_size=1, max_size=40))
+@settings(max_examples=50, deadline=None)
+def test_scan_count_equals_float32_interval_count(z, delta_p, origins):
+    origins = np.array(origins)
+    assert np.array_equal(oracle.scan_window_counts(origins, z, delta_p),
+                          _float32_interval_counts(origins, z, delta_p))
+
+
 def test_scan_is_batch_size_invariant():
+    # at z=4, 97 windows span more than one table chunk and many pair blocks
     rng = np.random.default_rng(21)
     origins = np.array(SOLVABLE.origin) + rng.integers(-2, 3, size=(97, 9))
-    whole = oracle.scan_window_counts(origins, 2, 0.5)
-    split = np.concatenate([oracle.scan_window_counts(origins[:13], 2, 0.5),
-                            oracle.scan_window_counts(origins[13:], 2, 0.5)])
-    assert np.array_equal(whole, split)
+    for z in (2, 4):
+        whole = oracle.scan_window_counts(origins, z, 0.5)
+        split = np.concatenate([oracle.scan_window_counts(origins[:13], z, 0.5),
+                                oracle.scan_window_counts(origins[13:], z, 0.5)])
+        assert np.array_equal(whole, split)
+        assert (whole > 0).any()
+        one_by_one = [oracle.scan_window_counts(o[None, :], z, 0.5)[0]
+                      for o in origins[:8]]
+        assert np.array_equal(whole[:8], one_by_one)
 
 
 def test_scan_validates_shape():
     with pytest.raises(ValueError):
         oracle.scan_window_counts(np.zeros((4, 8), dtype=np.int64), 2, 0.5)
+
+
+@pytest.mark.parametrize("origins,z,delta_p,match", [
+    (np.zeros((4, 9), dtype=np.int64), 0, 0.5, "z must be positive"),
+    (np.zeros((4, 9), dtype=np.int64), -2, 0.5, "z must be positive"),
+    (np.zeros((4, 9), dtype=np.int64), 2, 0.0, "delta_p must be finite and positive"),
+    (np.zeros((4, 9), dtype=np.int64), 2, -0.5, "delta_p must be finite and positive"),
+    (np.zeros((4, 9), dtype=np.int64), 2, float("nan"), "delta_p must be finite and positive"),
+    (np.zeros((4, 9), dtype=np.int64), 2, float("inf"), "delta_p must be finite and positive"),
+    (np.full((2, 9), 0.7), 2, 0.5, "origins must be integers"),
+    (np.zeros((2, 9)), 2, 0.5, "origins must be integers"),
+    (np.zeros((2, 9), dtype=bool), 2, 0.5, "origins must be integers"),
+], ids=("z=0", "z<0", "delta_p=0", "delta_p<0", "delta_p=nan", "delta_p=inf",
+        "fractional origins", "float origins", "bool origins"))
+def test_scan_validates_z_delta_p_and_origins(origins, z, delta_p, match):
+    with pytest.raises(ValueError, match=match):
+        oracle.scan_window_counts(origins, z, delta_p)
+
+
+def test_scan_of_no_windows_is_empty():
+    counts = oracle.scan_window_counts(np.zeros((0, 9), dtype=np.int64), 2, 0.5)
+    assert counts.shape == (0,) and counts.dtype == np.int64
 
 
 def test_json_round_trip():

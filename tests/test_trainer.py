@@ -22,6 +22,8 @@ def test_config_validation():
         trainer.TrainerConfig(count_noise=-0.1)
     with pytest.raises(ValueError, match="max_window_shifts"):
         trainer.TrainerConfig(max_window_shifts=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        trainer.TrainerConfig(seed=-1)
 
 
 def test_defaults_match_the_reference_setup():
