@@ -7,17 +7,23 @@ wasteful at 134M vertices) is the marked set the walk searches for.
 
 The 2-2-1 network factors: hidden unit h1 depends only on weights 0-2, h2
 only on weights 3-5, and the output is y = a*h1 + b*h2 - c. Both fast routes
-build the same hidden-unit tables (_hidden) and combine them per (a, b):
-enumerate_solutions lists the exact solution set of one window in float64,
-and scan_window_counts is a float32 path that only counts solutions across
-many candidate windows at once. The trainer confirms every window the scan
-counts as solvable with enumerate_solutions, so a float32 over-count costs one
-confirmation; but a window the scan counts as empty is never confirmed, so the
-float32 counts decide which windows the search can choose. What holds: the
-scan's bound test only drops windows that cannot count a solution (rounding is
-monotone), and the counts it returns are exactly the float32 interval counts.
-What does not: the float32 count can be zero for a window that has float64
-solutions; among sampled windows this happened only at z >= 3, and rarely.
+build the same hidden-unit tables (_hidden) and reduce the four pattern sums
+s_p = a*h1 + b*h2 to one interval, lo = max(s_00, s_11) and
+hi = min(s_01, s_10) (_interval); in exact arithmetic an output bias c
+classifies XOR correctly where lo - c < 0.5 <= hi - c. enumerate_solutions
+lists the exact solution set of one window in float64, and there the interval
+test is the four-pattern test bit for bit: for a fixed c, s -> fl(s - c) is
+monotone and so commutes with min and max (weights are finite, so no NaN
+appears). scan_window_counts is a float32 path that only counts solutions
+across many candidate windows at once. The trainer confirms every window the
+scan counts as solvable with enumerate_solutions, so a float32 over-count
+costs one confirmation; but a window the scan counts as empty is never
+confirmed, so the float32 counts decide which windows the search can choose.
+What holds: the scan's bound test only drops windows that cannot count a
+solution (rounding is monotone), and the counts it returns are exactly the
+float32 interval counts. What does not: the float32 count can be zero for a
+window that has float64 solutions; among sampled windows this happened only
+at z >= 3, and rarely.
 Two unfactored routes are kept as independent references: a scalar
 per-vertex predicate (evaluate_vertex) and a plain double loop
 (reference_enumerate).
@@ -36,11 +42,11 @@ from .weight_space import (WeightWindow, from_descriptor, index_to_weights,
                            to_descriptor, window_size)
 
 DEFAULT_VERTEX_CAP = 2 ** 30
+_ENUM_BLOCK = 1 << 15  # float64 elements per working array of the enumerator
 
 _MAGIC = b"QWSOLSET"
 
 _X = np.array(mlp.XOR_INPUTS)
-_TARGETS_TRUE = np.array([t == 1.0 for t in mlp.XOR_TARGETS])
 
 
 class WindowTooLarge(ValueError):
@@ -115,16 +121,39 @@ def _weight_values(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
     return delta_p * (origins.T[:, None, :] + np.arange(z)[None, :, None] - z // 2)
 
 
+def _interval(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              tmp: np.ndarray) -> None:
+    """Fill lo = max(s_00, s_11) and hi = min(s_01, s_10), s_p = a_p + b_p.
+
+    a and b are per-pattern tables (pattern first) that broadcast to the
+    buffers' shape; the sums are formed in the buffers' dtype, a first.
+    """
+    np.add(a[0], b[0], out=lo)
+    np.add(a[3], b[3], out=tmp)
+    np.maximum(lo, tmp, out=lo)
+    np.add(a[1], b[1], out=hi)
+    np.add(a[2], b[2], out=tmp)
+    np.minimum(hi, tmp, out=hi)
+
+
 def enumerate_solutions(window: WeightWindow) -> SolutionSet:
     """Exact solution set of a window, in increasing index order.
 
     Uses the 2-2-1 factoring: h1 depends on weights 0-2 only, h2 on 3-5, and
-    y = a*h1 + b*h2 - c. For each output weight b one slab
-    s_p = a*h1 + b*h2 over (pattern, a, h2 setting, h1 setting) is formed in
-    float64; it is laid out in vertex index order, so for each output bias c
-    the hits of (s_p - c >= 0.5) == target_p over all four patterns are flat
-    offsets into the z^7 vertices with that (b, c). Memory is O(z^7), never
-    the whole window. Refuses windows above DEFAULT_VERTEX_CAP vertices.
+    y = a*h1 + b*h2 - c. For each output weight b, the sums
+    s_p = a*h1 + b*h2 over (a, h2 setting, h1 setting) are laid out in vertex
+    index order and reduced in float64 to lo = max(s_00, s_11) and
+    hi = min(s_01, s_10) (_interval). A vertex with output bias c solves XOR
+    when s_p - c >= 0.5 holds exactly for the patterns with target 1, that is
+    when hi - c >= 0.5 and lo - c < 0.5. This is the four-pattern test, bit
+    for bit: for a fixed c, s -> fl(s - c) is monotone, so
+    min(fl(s_01 - c), fl(s_10 - c)) = fl(hi - c), and likewise for the max.
+    Where lo >= hi no c passes, so only the flat offsets with lo < hi are kept
+    and each c is tested on those alone. WeightWindow admits finite weights
+    only, so no NaN breaks the monotone argument. The slab is formed in tiles
+    of whole a values, about _ENUM_BLOCK elements (at least one a value, z^6
+    vertices), in reused buffers of 25 bytes per element; memory is O(z^7),
+    never the whole window. Refuses windows above DEFAULT_VERTEX_CAP vertices.
     """
     _require_mlp_window(window)
     n = window_size(window)
@@ -132,24 +161,31 @@ def enumerate_solutions(window: WeightWindow) -> SolutionSet:
         raise WindowTooLarge(
             f"window has {n} vertices, above the cap {DEFAULT_VERTEX_CAP}")
     z = window.z
-    zc, z7 = z ** 3, z ** 7
+    zc, z6, z7 = z ** 3, z ** 6, z ** 7
     vals = _weight_values(np.asarray([window.origin], dtype=np.int64), z,
                           window.delta_p)
     h1 = _hidden(vals, 0, np.empty((4, z, z, z, 1)))[:, :, 0]
     h2 = _hidden(vals, 3, np.empty((4, z, z, z, 1)))[:, :, 0]
     a, b, c = vals[6, :, 0], vals[7, :, 0], vals[8, :, 0]
-    ah1 = a[None, :, None] * h1[:, None, :]  # (pattern, a, h1 setting)
-    s = np.empty((4, z, zc, zc))
-    y = np.empty((4, z7))
-    ok = np.empty((4, z7), dtype=bool)
+    ah1 = (a[None, :, None] * h1[:, None, :])[:, :, None, :]  # (pattern, a, 1, h1)
+    na = min(z, max(1, _ENUM_BLOCK // z6))  # a values per tile
+    lo_buf, hi_buf, tmp_buf = (np.empty((na, zc, zc)) for _ in range(3))
+    live_buf = np.empty((na, zc, zc), dtype=bool)
     parts = [[None] * z for _ in range(z)]  # [c][b], so c-major order is sorted
     for bi in range(z):
-        np.add(ah1[:, :, None, :], (b[bi] * h2)[:, None, :, None], out=s)
+        bh2 = (b[bi] * h2)[:, None, :, None]
+        tiles = []
+        for ai in range(0, z, na):
+            m = min(na, z - ai)
+            lo, hi, tmp, live = (buf[:m] for buf in (lo_buf, hi_buf, tmp_buf, live_buf))
+            _interval(ah1[:, ai:ai + m], bh2, lo, hi, tmp)
+            np.less(lo, hi, out=live)
+            flat = np.flatnonzero(live)
+            tiles.append((flat + ai * z6, lo.ravel()[flat], hi.ravel()[flat]))
+        flat, lo_v, hi_v = (np.concatenate(col) for col in zip(*tiles))
         for ci in range(z):
-            np.subtract(s.reshape(4, z7), c[ci], out=y)
-            np.greater_equal(y, 0.5, out=ok)
-            np.equal(ok, _TARGETS_TRUE[:, None], out=ok)
-            parts[ci][bi] = np.flatnonzero(ok.all(axis=0)) + (bi * z7 + ci * z * z7)
+            hit = (hi_v - c[ci] >= 0.5) & (lo_v - c[ci] < 0.5)
+            parts[ci][bi] = flat[hit] + (bi * z7 + ci * z * z7)
     indices = np.concatenate([p for row in parts for p in row])
     return SolutionSet(window=window, indices=indices)
 
@@ -175,13 +211,7 @@ def _count_pairs(A: np.ndarray, B: np.ndarray, cshift: np.ndarray) -> np.ndarray
         k = min(nb, m - i)
         lo, hi, tmp, mask = (buf[:z8 * k].reshape(z4, z4, k)
                              for buf in (lo_buf, hi_buf, tmp_buf, mask_buf))
-        a, b = A[:, :, None, i:i + k], B[:, None, :, i:i + k]
-        np.add(a[0], b[0], out=lo)
-        np.add(a[3], b[3], out=tmp)
-        np.maximum(lo, tmp, out=lo)
-        np.add(a[1], b[1], out=hi)
-        np.add(a[2], b[2], out=tmp)
-        np.minimum(hi, tmp, out=hi)
+        _interval(A[:, :, None, i:i + k], B[:, None, :, i:i + k], lo, hi, tmp)
         np.less(lo, hi, out=mask)
         flat = np.flatnonzero(mask_buf[:z8 * k])
         win = flat % k

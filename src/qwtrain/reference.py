@@ -62,6 +62,9 @@ PROBABILITIES = (
 # Exact solution count of the z=8, delta_p=0.5 window at the lattice origin
 # (134217728 vertices); the reference run reported 80295 for its own window.
 Z8_ORIGIN_K = 3240
+# Prefix of the sha256 of that window's sorted solution indices as
+# little-endian int64, so a shifted or reordered set fails, not only a new k.
+Z8_ORIGIN_INDEX_SHA256 = "5489055a61beb1db"
 Z8_MARKED_MIN = 0.99  # lower bound on p_AA + p_AB after the optimal step count
 
 # Backprop baseline: 100 seeded runs at lr 0.5 and 20 at lr 1e-4.

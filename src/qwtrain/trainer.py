@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,8 +54,8 @@ class TrainerConfig:
     count_noise: float = 0.0  # stddev of relative noise on the counted k
 
     def __post_init__(self):
-        if not self.delta_p > 0:
-            raise ValueError("delta_p must be positive")
+        if not (math.isfinite(self.delta_p) and self.delta_p > 0):
+            raise ValueError("delta_p must be finite and positive")
         if self.z < 2:
             raise ValueError("z must be at least 2")
         if self.l < 1:

@@ -22,6 +22,7 @@ by (z, 0, ..., 0), and distinct indices give disjoint windows.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import Iterator
@@ -47,8 +48,17 @@ class WeightWindow:
             raise ValueError(f"z must be positive, got {self.z}")
         if len(self.origin) != self.w:
             raise ValueError(f"origin must have length w={self.w}, got {len(self.origin)}")
-        if not self.delta_p > 0:
-            raise ValueError(f"delta_p must be positive, got {self.delta_p}")
+        if not (math.isfinite(self.delta_p) and self.delta_p > 0):
+            raise ValueError(
+                f"delta_p must be finite and positive, got {self.delta_p}")
+        # every weight is at most delta_p * (max|origin_j| + z) in magnitude
+        try:
+            extreme = self.delta_p * (max(abs(int(o)) for o in self.origin) + self.z)
+        except OverflowError:
+            extreme = math.inf
+        if not math.isfinite(extreme):
+            raise ValueError("window weights must be finite: delta_p * "
+                             "(max|origin_j| + z) overflows a float")
 
 
 def window_size(window: WeightWindow) -> int:

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,80 @@ def test_enumerate_matches_reference_across_windows(z, delta_p):
         assert np.array_equal(fast.indices, oracle.reference_enumerate(window).indices)
         total += fast.k
     assert total > 0
+
+
+def _four_pattern_solutions(window):
+    """The slab test the interval kernel replaced: for each (b, c), all four
+    patterns must satisfy (s_p - c >= 0.5) == target_p, with
+    s_p = a*h1 + b*h2 in float64 over one z^7 slab in vertex index order."""
+    z = window.z
+    zc, z7 = z ** 3, z ** 7
+    vals = oracle._weight_values(np.asarray([window.origin], dtype=np.int64), z,
+                                 window.delta_p)
+    h1 = oracle._hidden(vals, 0, np.empty((4, z, z, z, 1)))[:, :, 0]
+    h2 = oracle._hidden(vals, 3, np.empty((4, z, z, z, 1)))[:, :, 0]
+    a, b, c = vals[6, :, 0], vals[7, :, 0], vals[8, :, 0]
+    ah1 = a[None, :, None] * h1[:, None, :]
+    targets = np.array([t == 1.0 for t in mlp.XOR_TARGETS])[:, None]
+    parts = [[None] * z for _ in range(z)]  # [c][b]
+    for bi in range(z):
+        s = (ah1[:, :, None, :] + (b[bi] * h2)[:, None, :, None]).reshape(4, z7)
+        for ci in range(z):
+            ok = ((s - c[ci] >= 0.5) == targets).all(axis=0)
+            parts[ci][bi] = np.flatnonzero(ok) + (bi * z7 + ci * z * z7)
+    return np.concatenate([p for row in parts for p in row])
+
+
+def _differential_origins(z, delta_p):
+    """Seeded origins: four near SOLVABLE's weights, where solutions are
+    common at z >= 3, two drawn with weights within about +-6, where they are
+    rarer, and the first two scan-solvable ones among 2048 / 4^(z-2) more."""
+    rng = np.random.default_rng([z, round(delta_p * 100)])
+    near = np.rint(np.multiply(SOLVABLE.origin, SOLVABLE.delta_p) / delta_p)
+    r = round(6 / delta_p)
+    wide = rng.integers(-r, r + 1, size=(2 + 2048 // 4 ** (z - 2), 9))
+    hits = np.flatnonzero(oracle.scan_window_counts(wide[2:], z, delta_p))[:2]
+    return np.vstack([near.astype(np.int64) + rng.integers(-1, 2, size=(4, 9)),
+                      wide[:2], wide[2 + hits]])
+
+
+@pytest.mark.parametrize("z", (2, 3, 4, 5))
+@pytest.mark.parametrize("delta_p", (0.1, 0.25, 0.5, 1.0, 1.3))
+def test_enumerate_matches_the_four_pattern_test(z, delta_p):
+    ks = []
+    for o in _differential_origins(z, delta_p):
+        window = WeightWindow(w=9, z=z, origin=tuple(int(v) for v in o),
+                              delta_p=delta_p)
+        fast = oracle.enumerate_solutions(window)
+        assert fast.indices.dtype == np.int64
+        assert np.array_equal(fast.indices, _four_pattern_solutions(window))
+        ks.append(fast.k)
+    assert max(ks) > 0 and min(ks) == 0
+
+
+@given(st.sampled_from((2, 3, 4)),
+       st.floats(0.1, 1.5),
+       st.lists(st.integers(-6, 6), min_size=9, max_size=9))
+@settings(max_examples=100, deadline=None)
+def test_enumerate_equals_the_four_pattern_test(z, delta_p, origin):
+    window = WeightWindow(w=9, z=z, origin=tuple(origin), delta_p=delta_p)
+    fast = oracle.enumerate_solutions(window)
+    assert fast.indices.dtype == np.int64
+    assert np.array_equal(fast.indices, _four_pattern_solutions(window))
+
+
+def test_enumerate_scratch_stays_within_its_tiles():
+    # tiles of one a value take about 25 z^6 bytes (4.2 z^7 at z=6); lo and
+    # hi over a whole z^7 slab would take 25 z^7, its four patterns 32 z^7
+    window = WeightWindow(w=9, z=6, origin=(0,) * 9, delta_p=0.5)
+    tracemalloc.start()
+    try:
+        sols = oracle.enumerate_solutions(window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sols.k > 0
+    assert peak < 8 * 6 ** 7
 
 
 def test_empty_window_yields_empty_set():

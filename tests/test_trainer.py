@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from qwtrain.weight_space import WeightWindow, index_to_weights, window_size
 def test_config_validation():
     with pytest.raises(ValueError):
         trainer.TrainerConfig(delta_p=0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta_p must be finite and positive"):
+            trainer.TrainerConfig(delta_p=bad)
     with pytest.raises(ValueError):
         trainer.TrainerConfig(z=1)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,24 @@ def test_window_validation():
         ws.WeightWindow(w=2, z=2, origin=(0,), delta_p=0.5)
     with pytest.raises(ValueError):
         ws.WeightWindow(w=2, z=2, origin=(0, 0), delta_p=0.0)
+
+
+@pytest.mark.parametrize("origin,z,delta_p", [
+    ((0,) * 9, 2, math.inf),
+    ((0,) * 9, 2, -math.inf),
+    ((0,) * 9, 2, math.nan),
+    ((0,) * 9, 2, 1e308),                # 1e308 * (0 + 2) overflows
+    ((0,) * 8 + (10 ** 10,), 2, 1e300),  # one far origin coordinate
+    ((0,) * 8 + (-10 ** 400,), 2, 0.5),  # an origin no float can hold
+], ids=("inf", "-inf", "nan", "huge-delta_p", "far-origin", "origin-past-float"))
+def test_window_rejects_non_finite_weights(origin, z, delta_p):
+    with pytest.raises(ValueError, match="finite"):
+        ws.WeightWindow(w=9, z=z, origin=origin, delta_p=delta_p)
+
+
+def test_window_accepts_large_finite_weights():
+    win = ws.WeightWindow(w=9, z=2, origin=(0,) * 8 + (10 ** 10,), delta_p=1e290)
+    assert all(math.isfinite(v) for v in ws.index_to_weights(511, win))
 
 
 def test_window_size():
