@@ -99,8 +99,8 @@ class BackpropConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
         if self.seed < 0:

@@ -14,16 +14,11 @@ classifies XOR correctly where lo - c < 0.5 <= hi - c. enumerate_solutions
 lists the exact solution set of one window in float64, and there the interval
 test is the four-pattern test bit for bit: for a fixed c, s -> fl(s - c) is
 monotone and so commutes with min and max (weights are finite, so no NaN
-appears). scan_window_counts is a float32 path that only counts solutions
-across many candidate windows at once. The trainer confirms every window the
-scan counts as solvable with enumerate_solutions, so a float32 over-count
-costs one confirmation; but a window the scan counts as empty is never
-confirmed, so the float32 counts decide which windows the search can choose.
-What holds: the scan's bound test only drops windows that cannot count a
-solution (rounding is monotone), and the counts it returns are exactly the
-float32 interval counts. What does not: the float32 count can be zero for a
-window that has float64 solutions; among sampled windows this happened only
-at z >= 3, and rarely.
+appears). scan_window_counts counts the solutions of many candidate windows
+at once from the same float64 values by the same operations and the same
+output-bias test (_solves), so the count it returns for a window is that
+window's k. Its bound tests only skip blocks of vertices that hold no
+solution, because rounded sums and differences are monotone.
 Two unfactored routes are kept as independent references: a scalar
 per-vertex predicate (evaluate_vertex) and a plain double loop
 (reference_enumerate).
@@ -42,7 +37,7 @@ from .weight_space import (WeightWindow, from_descriptor, index_to_weights,
                            to_descriptor, window_size)
 
 DEFAULT_VERTEX_CAP = 2 ** 30
-_ENUM_BLOCK = 1 << 15  # float64 elements per working array of the enumerator
+_ENUM_BLOCK = 1 << 15  # float64 elements per enumerator tile array and scan table chunk
 
 _MAGIC = b"QWSOLSET"
 
@@ -96,7 +91,7 @@ def reference_enumerate(window: WeightWindow) -> SolutionSet:
 
 
 def _hidden(vals: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
-    """Hidden-unit table sigmoid(x0*w_j + x1*w_{j+1} - w_{j+2}), in out's dtype.
+    """Hidden-unit table sigmoid(x0*w_j + x1*w_{j+1} - w_{j+2}) in float64.
 
     vals is (9, z, n) weight values per dimension and window, the window axis
     last; out is (4, z, z, z, n) scratch. Returns out as (4 patterns, z^3
@@ -104,9 +99,8 @@ def _hidden(vals: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
     index is c_j + z*c_{j+1} + z^2*c_{j+2}: the vertex index's own digit order.
     """
     z, n = vals.shape[1], vals.shape[2]
-    x = _X.astype(out.dtype)
-    out[:] = x[:, 0, None, None, None, None] * vals[j]
-    out += x[:, 1, None, None, None, None] * vals[j + 1, :, None, :]
+    out[:] = _X[:, 0, None, None, None, None] * vals[j]
+    out += _X[:, 1, None, None, None, None] * vals[j + 1, :, None, :]
     out -= vals[j + 2, :, None, None, :]
     np.negative(out, out=out)
     with np.errstate(over="ignore"):
@@ -126,7 +120,7 @@ def _interval(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     """Fill lo = max(s_00, s_11) and hi = min(s_01, s_10), s_p = a_p + b_p.
 
     a and b are per-pattern tables (pattern first) that broadcast to the
-    buffers' shape; the sums are formed in the buffers' dtype, a first.
+    buffers' shape; each sum is formed a first.
     """
     np.add(a[0], b[0], out=lo)
     np.add(a[3], b[3], out=tmp)
@@ -134,6 +128,12 @@ def _interval(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     np.add(a[1], b[1], out=hi)
     np.add(a[2], b[2], out=tmp)
     np.minimum(hi, tmp, out=hi)
+
+
+def _solves(lo: np.ndarray, hi: np.ndarray, c) -> np.ndarray:
+    """Where output bias c classifies XOR given lo = max(s_00, s_11) and
+    hi = min(s_01, s_10): hi - c >= 0.5 and lo - c < 0.5."""
+    return (hi - c >= 0.5) & (lo - c < 0.5)
 
 
 def enumerate_solutions(window: WeightWindow) -> SolutionSet:
@@ -184,61 +184,53 @@ def enumerate_solutions(window: WeightWindow) -> SolutionSet:
             tiles.append((flat + ai * z6, lo.ravel()[flat], hi.ravel()[flat]))
         flat, lo_v, hi_v = (np.concatenate(col) for col in zip(*tiles))
         for ci in range(z):
-            hit = (hi_v - c[ci] >= 0.5) & (lo_v - c[ci] < 0.5)
+            hit = _solves(lo_v, hi_v, c[ci])
             parts[ci][bi] = flat[hit] + (bi * z7 + ci * z * z7)
     indices = np.concatenate([p for row in parts for p in row])
     return SolutionSet(window=window, indices=indices)
 
 
-_SCAN_BLOCK = 1 << 16  # float32 elements per working array of the scan
+_PAIR_BLOCK = 1 << 13  # float64 elements per working array of the pair test
 
 
-def _count_pairs(A: np.ndarray, B: np.ndarray, cshift: np.ndarray) -> np.ndarray:
-    """Counts of windows whose tables survived the bound test.
+def _row_bounds(w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Extremes of each row of the table w*h: (4 patterns, z^2 rows, n).
 
-    A and B are (4, z^4, m) tables, cshift is (z, m). Forms the c' interval
-    (lo, hi] = (max(s0, s3), min(s1, s2)] of every (a-side, b-side) pair in
-    blocks of about _SCAN_BLOCK elements, windows innermost, and tests the z
-    values of c' only where lo < hi.
+    w is (z, n) output-weight values and h a (4, z, z^2, n) hidden table,
+    its settings grouped by the hidden bias. Row r = (w value r // z, bias
+    value r % z) holds z^2 products; the bound is their minimum for patterns
+    00 and 11 and their maximum for 01 and 10. fl(w*h) is monotone in h, so
+    these are w times an extreme of h, and equal the computed products'
+    extremes exactly.
     """
-    z4, m = A.shape[1], A.shape[2]
-    z8 = z4 * z4
-    nb = min(m, max(1, _SCAN_BLOCK // z8))
-    lo_buf, hi_buf, tmp_buf = (np.empty(z8 * nb, np.float32) for _ in range(3))
-    mask_buf = np.empty(z8 * nb, bool)
-    counts = np.zeros(m, dtype=np.int64)
-    for i in range(0, m, nb):
-        k = min(nb, m - i)
-        lo, hi, tmp, mask = (buf[:z8 * k].reshape(z4, z4, k)
-                             for buf in (lo_buf, hi_buf, tmp_buf, mask_buf))
-        _interval(A[:, :, None, i:i + k], B[:, None, :, i:i + k], lo, hi, tmp)
-        np.less(lo, hi, out=mask)
-        flat = np.flatnonzero(mask_buf[:z8 * k])
-        win = flat % k
-        lo_v, hi_v = lo_buf[flat], hi_buf[flat]
-        for cv in cshift[:, i:i + k]:
-            c = cv[win]
-            counts[i:i + k] += np.bincount(win[(c > lo_v) & (c <= hi_v)], minlength=k)
-    return counts
+    z, n = w.shape
+    ends = [w[:, None] * e[:, None] for e in (h.min(axis=2), h.max(axis=2))]
+    ext = np.minimum(*ends)
+    np.maximum(ends[0][1:3], ends[1][1:3], out=ext[1:3])
+    return ext.reshape(4, z * z, n)
 
 
 def scan_window_counts(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
-    """Solution count per candidate window, float32, many windows at once.
+    """Solution count per candidate window, many windows at once.
 
-    origins is (B, 9) integers; returns (B,) int64 counts. Exploits the 2-2-1
-    shape: with s_p = a*h1 + b*h2 for fixed hidden choices and output weights,
-    the output bias c enters y = s_p - c monotonically, so XOR-correctness is
-    the interval test max(s_00, s_11) < c + 0.5 <= min(s_01, s_10) on c
-    instead of a test per vertex, all in float32. The a*h1 and b*h2 tables
-    are built with the window axis last. A window is dropped unless some
-    c + 0.5 lies in (max_p(min A_p + min B_p), min_p(max A_p + max B_p)] over
-    p = 00, 11 and p = 01, 10 respectively; rounding is monotone, so these
-    float32 sums bound every pair's sum and the test never drops a counted
-    solution. The surviving windows get the pairwise test (_count_pairs).
-    Counts are the float32 interval counts, exactly and independent of the
-    batch size. They can differ from the float64 count of enumerate_solutions,
-    in either direction, so callers that need the exact set confirm hits
-    with it.
+    origins is (B, 9) integers; returns (B,) int64 counts. Count i equals
+    enumerate_solutions(window i).k: the scan forms every pattern sum the
+    enumerator forms from the same float64 values by the same operations.
+    The hidden tables come from _hidden, the products a*h1 and b*h2 from the
+    same operands, the sums from _interval (a*h1 first), and the output-bias
+    test is _solves.
+
+    Windows are taken in chunks of about _ENUM_BLOCK table elements. Each
+    side's table is split into rows of z^2 products that share an output
+    weight and a hidden bias (_row_bounds); for h1 the pattern-00 value is
+    then constant along a row. Each (a row, b row, window) block is bounded
+    before any pair is formed: through _interval its lo is at least the
+    bound's lo and its hi at most the bound's hi, since a rounded sum
+    fl(x + y) is monotone in x and y. fl(x - c) is monotone too, so a block
+    whose bounds fail _solves for every c of its window holds no solution,
+    and dropping it never changes a count. The surviving blocks get the
+    pairwise interval in chunks of about _PAIR_BLOCK elements, and each c is
+    tested where lo < hi.
     """
     origins = np.asarray(origins)
     if origins.ndim != 2 or origins.shape[1] != 9:
@@ -250,23 +242,35 @@ def scan_window_counts(origins: np.ndarray, z: int, delta_p: float) -> np.ndarra
     if not (np.isfinite(delta_p) and delta_p > 0):
         raise ValueError(f"delta_p must be finite and positive, got {delta_p}")
     origins = origins.astype(np.int64, copy=False)
-    n_all, z4 = origins.shape[0], z ** 4
-    step = max(1, _SCAN_BLOCK // (4 * z4))
+    n_all, z2, z4 = origins.shape[0], z * z, z ** 4
+    step = max(1, _ENUM_BLOCK // (4 * z4))  # windows per table chunk
+    per = max(1, _PAIR_BLOCK // z4)  # blocks per pair chunk
+    lo_buf, hi_buf, tmp_buf = (np.empty(per * z4) for _ in range(3))
+    live_buf = np.empty(per * z4, dtype=bool)
     counts = np.zeros(n_all, dtype=np.int64)
     for i in range(0, n_all, step):
-        vals = _weight_values(origins[i:i + step], z, delta_p).astype(np.float32)
+        vals = _weight_values(origins[i:i + step], z, delta_p)
         n = vals.shape[2]
-        h1 = _hidden(vals, 0, np.empty((4, z, z, z, n), np.float32))
-        h2 = _hidden(vals, 3, np.empty((4, z, z, z, n), np.float32))
-        A = (h1[:, :, None, :] * vals[6]).reshape(4, z4, n)
-        B = (h2[:, :, None, :] * vals[7]).reshape(4, z4, n)
-        cshift = vals[8] + np.float32(0.5)
-        lo = np.maximum(A[0].min(0) + B[0].min(0), A[3].min(0) + B[3].min(0))
-        hi = np.minimum(A[1].max(0) + B[1].max(0), A[2].max(0) + B[2].max(0))
-        live = np.flatnonzero(((cshift > lo) & (cshift <= hi)).any(axis=0))
-        if live.size:
-            counts[i + live] = _count_pairs(A[:, :, live], B[:, :, live],
-                                            cshift[:, live])
+        h1, h2 = (_hidden(vals, j, np.empty((4, z, z, z, n))).reshape(4, z, z2, n)
+                  for j in (0, 3))
+        a, b, c = vals[6], vals[7], vals[8]
+        lo, hi, tmp = (np.empty((z2, z2, n)) for _ in range(3))
+        _interval(_row_bounds(a, h1)[:, :, None], _row_bounds(b, h2)[:, None],
+                  lo, hi, tmp)
+        ra, rb, w = np.nonzero(_solves(lo, hi, c[:, None, None]).any(axis=0))
+        for j in range(0, w.size, per):
+            wj, ra_j, rb_j = w[j:j + per], ra[j:j + per], rb[j:j + per]
+            a_rows = (a[ra_j // z, wj, None, None] * h1[:, ra_j % z, :, wj]).transpose(1, 0, 2)
+            b_rows = (b[rb_j // z, wj, None, None] * h2[:, rb_j % z, :, wj]).transpose(1, 0, 2)
+            lo, hi, tmp, live = (buf[:wj.size * z4].reshape(wj.size, z2, z2)
+                                 for buf in (lo_buf, hi_buf, tmp_buf, live_buf))
+            _interval(a_rows[:, :, :, None], b_rows[:, :, None, :], lo, hi, tmp)
+            np.less(lo, hi, out=live)
+            flat = np.flatnonzero(live)
+            win = wj[flat // z4]
+            lo_v, hi_v = lo.ravel()[flat], hi.ravel()[flat]
+            for cv in c[:, win]:
+                np.add.at(counts, i + win[_solves(lo_v, hi_v, cv)], 1)
     return counts
 
 

@@ -14,11 +14,10 @@ One training run:
 The walk itself never sees vertex identities; it runs entirely in the
 4-dimensional subspace, and the vertex is recovered from the measured class.
 
-For the shift search the trainer scans candidate origins in batches with the
-oracle's float32 counting fast path and confirms any hit with the exact
-enumerator, so a shift loop over thousands of windows stays cheap. A window
-the scan counts as empty is skipped without confirmation; the oracle module
-says what that relies on.
+For the shift search the trainer counts the solutions of candidate windows
+in batches with the oracle's scan, whose counts equal the enumerator's k, so
+a shift loop over thousands of windows stays cheap; only the first window
+with a nonzero count is enumerated, for its indices.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ class TrainerConfig:
             raise ValueError("l must be >= 1")
         if self.rounding not in ROUNDING_MODES:
             raise ValueError(f"rounding must be one of {ROUNDING_MODES}")
-        if self.count_noise < 0:
-            raise ValueError("count_noise must be >= 0")
+        if not (math.isfinite(self.count_noise) and self.count_noise >= 0):
+            raise ValueError("count_noise must be finite and >= 0")
         if self.max_window_shifts < 0:
             raise ValueError("max_window_shifts must be >= 0")
         if self.seed < 0:
@@ -109,24 +108,18 @@ def find_solvable_window(start: WeightWindow, config: TrainerConfig
     # few windows past the first hit.
     cap = max(4, (1 << 21) // (start.z ** 8))
     schedule = [min(b, cap) for b in _SCAN_RAMP]
-    use_scan = start.z <= 4
     origin = np.asarray(start.origin, dtype=np.int64)
 
     for first_index, rows in iter_displacements(start.w, start.z, batch=schedule):
         if first_index > config.max_window_shifts:
             break
         keep = min(rows.shape[0], config.max_window_shifts - first_index + 1)
-        rows = rows[:keep]
-        if use_scan:
-            counts = scan_window_counts(origin + rows, start.z, start.delta_p)
-            hits = np.nonzero(counts)[0]
-        else:
-            hits = np.arange(rows.shape[0])
-        for h in hits:
+        hits = np.flatnonzero(scan_window_counts(origin + rows[:keep], start.z,
+                                                 start.delta_p))
+        if hits.size:
+            h = int(hits[0])
             cand = replace(start, origin=tuple(int(v) for v in origin + rows[h]))
-            sols = enumerate_solutions(cand)
-            if sols.k > 0:
-                return cand, sols, first_index + int(h)
+            return cand, enumerate_solutions(cand), first_index + h
     raise NoSolutionError(start, config.max_window_shifts, config.seed)
 
 

@@ -76,6 +76,9 @@ def test_gradient_descends(seed):
 def test_config_validation():
     with pytest.raises(ValueError):
         mlp.BackpropConfig(learning_rate=0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            mlp.BackpropConfig(learning_rate=bad)
     with pytest.raises(ValueError):
         mlp.BackpropConfig(max_epochs=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):

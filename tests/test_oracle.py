@@ -128,6 +128,22 @@ def test_enumerate_scratch_stays_within_its_tiles():
     assert peak < 8 * 6 ** 7
 
 
+@pytest.mark.parametrize("z,delta_p,seeds,rows_per_seed,budget_mib", [
+    (4, 1.0, range(2), 16, 1.5), (2, 0.5, range(4), 4096, 2.25)])
+def test_scan_scratch_stays_bounded(z, delta_p, seeds, rows_per_seed, budget_mib):
+    # the trainer's largest batches at z=4 and z=2; float64 tables in bigger
+    # chunks would raise the process's peak RSS
+    origins = _ring_batches(z, delta_p, seeds, rows_per_seed)
+    tracemalloc.start()
+    try:
+        counts = oracle.scan_window_counts(origins, z, delta_p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.any()
+    assert peak < budget_mib * 2 ** 20
+
+
 def test_empty_window_yields_empty_set():
     barren = WeightWindow(w=9, z=2, origin=(0,) * 9, delta_p=0.5)
     s = oracle.enumerate_solutions(barren)
@@ -168,10 +184,36 @@ def _exact_counts(origins, z, delta_p):
         for o in origins])
 
 
+def test_scan_counts_match_direct_enumeration():
+    rng = np.random.default_rng(20)
+    base = np.array(SOLVABLE.origin)
+    origins = np.vstack([base + rng.integers(-1, 2, size=(60, 9)),
+                         rng.integers(-2, 3, size=(20, 9))])
+    counts = oracle.scan_window_counts(origins, 2, 0.5)
+    assert np.array_equal(counts, _exact_counts(origins, 2, 0.5))
+    assert (counts > 0).any()
+
+
+# z=3, delta_p 0.5: 2 solutions, which a float32 interval count misses
+FLOAT32_MISS = (-2, 2, 6, 1, -2, -5, -3, -3, -2)
+
+
+@pytest.mark.parametrize("z,rows_per_seed", [(2, 1024), (3, 128), (4, 16)])
+@pytest.mark.parametrize("delta_p", (0.5, 1.0, 1.3))
+def test_scan_counts_match_direct_enumeration_on_ring_batches(z, rows_per_seed, delta_p):
+    # the bound test drops most windows; the solvable ones must survive it
+    origins = np.vstack([_ring_batches(z, delta_p, range(4), rows_per_seed),
+                         FLOAT32_MISS])
+    counts = oracle.scan_window_counts(origins, z, delta_p)
+    assert np.array_equal(counts, _exact_counts(origins, z, delta_p))
+    assert np.count_nonzero(counts) >= 2
+
+
 def _float32_interval_counts(origins, z, delta_p):
-    """What the scan must return: per window, the number of (a-side, b-side,
-    c) triples with max(s0, s3) < c + 0.5 <= min(s1, s2), s_p = A_p + B_p in
-    float32, over every pair and with no bound test."""
+    """The old float32 kernel's counts, as a brute-force reference: per
+    window, the (a-side, b-side, c) triples with max(s0, s3) < c + 0.5 <=
+    min(s1, s2), s_p = A_p + B_p in float32, over every pair and with no
+    bound test."""
     vals = oracle._weight_values(np.asarray(origins, dtype=np.int64), z,
                                  delta_p).astype(np.float32)
     n = vals.shape[2]
@@ -188,34 +230,36 @@ def _float32_interval_counts(origins, z, delta_p):
     return np.array(counts)
 
 
-def test_scan_counts_match_direct_enumeration():
-    rng = np.random.default_rng(20)
-    base = np.array(SOLVABLE.origin)
-    origins = np.vstack([base + rng.integers(-1, 2, size=(60, 9)),
-                         rng.integers(-2, 3, size=(20, 9))])
-    counts = oracle.scan_window_counts(origins, 2, 0.5)
-    assert np.array_equal(counts, _exact_counts(origins, 2, 0.5))
-    assert (counts > 0).any()
-
-
 @pytest.mark.parametrize("z,rows_per_seed", [(2, 1024), (3, 128), (4, 16)])
 @pytest.mark.parametrize("delta_p", (0.5, 1.0, 1.3))
-def test_scan_counts_match_direct_enumeration_on_ring_batches(z, rows_per_seed, delta_p):
-    # the bound test drops most windows; the solvable ones must survive it
-    origins = _ring_batches(z, delta_p, range(4), rows_per_seed)
+def test_scan_counts_equal_float32_interval_counts(z, rows_per_seed, delta_p):
+    # float64 moved no count that float32 got right: on every ring-batch
+    # window the scan equals a float32 count over every pair, and where it
+    # departs from it (the float32-miss row at delta_p 0.5) it counts more,
+    # the enumerator's k
+    origins = np.vstack([_ring_batches(z, delta_p, range(4), rows_per_seed),
+                         FLOAT32_MISS])
     counts = oracle.scan_window_counts(origins, z, delta_p)
-    assert np.array_equal(counts, _exact_counts(origins, z, delta_p))
+    f32 = _float32_interval_counts(origins, z, delta_p)
+    assert np.array_equal(counts[:-1], f32[:-1])
+    differ = counts != f32
+    assert (counts[differ] > f32[differ]).all()
+    assert np.array_equal(counts[differ], _exact_counts(origins[differ], z, delta_p))
     assert np.count_nonzero(counts) >= 2
 
 
-@given(st.sampled_from((2, 3)),
+def test_scan_counts_the_float32_miss():
+    window = WeightWindow(w=9, z=3, origin=FLOAT32_MISS, delta_p=0.5)
+    assert oracle.enumerate_solutions(window).k == 2
+    assert oracle.scan_window_counts(np.array([FLOAT32_MISS]), 3, 0.5)[0] == 2
+
+
+@given(st.sampled_from((2, 3, 4)),
        st.sampled_from((0.25, 0.5, 0.7, 1.0, 1.3)),
        st.lists(st.integers(-2, 2), min_size=9, max_size=9))
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None)
 def test_scan_count_equals_enumerated_k(z, delta_p, offsets):
-    # offsets around a solvable origin, so solvable windows are common. The
-    # float32 and float64 counts are not equal everywhere: some z=3 and z=4
-    # windows further out differ (ROADMAP.md item 3), none in these examples.
+    # offsets around a solvable origin, so solvable windows are common
     origin = np.add(SOLVABLE.origin, offsets)
     window = WeightWindow(w=9, z=z, origin=tuple(int(x) for x in origin),
                           delta_p=delta_p)
@@ -224,38 +268,15 @@ def test_scan_count_equals_enumerated_k(z, delta_p, offsets):
     assert count[0] == oracle.enumerate_solutions(window).k
 
 
-# z=3, delta_p 0.5: float32 counts 0 where float64 finds 2 solutions
-FLOAT32_MISS = (-2, 2, 6, 1, -2, -5, -3, -3, -2)
-
-
-@pytest.mark.parametrize("z,rows_per_seed", [(2, 1024), (3, 128), (4, 16)])
-@pytest.mark.parametrize("delta_p", (0.5, 1.0, 1.3))
-def test_scan_counts_equal_float32_interval_counts(z, rows_per_seed, delta_p):
-    # the invariant the kernel keeps exactly, whatever float64 says
-    origins = np.vstack([_ring_batches(z, delta_p, range(4), rows_per_seed),
-                         FLOAT32_MISS])
-    counts = oracle.scan_window_counts(origins, z, delta_p)
-    assert np.array_equal(counts, _float32_interval_counts(origins, z, delta_p))
-    assert np.count_nonzero(counts) >= 2
-
-
-def test_scan_keeps_the_float32_count_where_float64_differs():
-    window = WeightWindow(w=9, z=3, origin=FLOAT32_MISS, delta_p=0.5)
-    assert oracle.enumerate_solutions(window).k == 2
-    origins = np.array([FLOAT32_MISS])
-    assert oracle.scan_window_counts(origins, 3, 0.5)[0] == 0
-    assert _float32_interval_counts(origins, 3, 0.5)[0] == 0
-
-
 @given(st.sampled_from((2, 3)),
        st.floats(0.1, 1.5),
        st.lists(st.lists(st.integers(-6, 6), min_size=9, max_size=9),
                 min_size=1, max_size=40))
 @settings(max_examples=50, deadline=None)
-def test_scan_count_equals_float32_interval_count(z, delta_p, origins):
+def test_scan_counts_equal_exact_counts(z, delta_p, origins):
     origins = np.array(origins)
     assert np.array_equal(oracle.scan_window_counts(origins, z, delta_p),
-                          _float32_interval_counts(origins, z, delta_p))
+                          _exact_counts(origins, z, delta_p))
 
 
 def test_scan_is_batch_size_invariant():

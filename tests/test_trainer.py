@@ -7,7 +7,8 @@ import pytest
 from qwtrain import oracle, trainer
 from qwtrain.mlp import classification_error
 from qwtrain.seeding import substream
-from qwtrain.weight_space import WeightWindow, index_to_weights, window_size
+from qwtrain.weight_space import (WeightWindow, index_to_weights, shift_window,
+                                  window_size)
 
 
 def test_config_validation():
@@ -22,8 +23,9 @@ def test_config_validation():
         trainer.TrainerConfig(l=0)
     with pytest.raises(ValueError):
         trainer.TrainerConfig(rounding="up")
-    with pytest.raises(ValueError):
-        trainer.TrainerConfig(count_noise=-0.1)
+    for bad in (-0.1, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="count_noise must be finite and >= 0"):
+            trainer.TrainerConfig(count_noise=bad)
     with pytest.raises(ValueError, match="max_window_shifts"):
         trainer.TrainerConfig(max_window_shifts=-1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -87,6 +89,38 @@ def test_find_solvable_window_respects_the_shift_cap():
         seed=3, max_window_shifts=2950))
     assert shifts == 2950
     assert sols.k == 2
+
+
+def _first_solvable_by_enumeration(start, max_shifts):
+    for i in range(max_shifts + 1):
+        window = shift_window(start, i)
+        sols = oracle.enumerate_solutions(window)
+        if sols.k > 0:
+            return window, sols, i
+    return None
+
+
+@pytest.mark.parametrize("z,seeds,max_shifts", [
+    (2, (2, 0), 120), (3, (1, 2, 3), 60), (5, (1, 3, 4, 6), 30)],
+    ids=("z2", "z3", "z5"))
+def test_find_solvable_window_matches_exhaustive_enumeration(z, seeds, max_shifts):
+    # each case has a window found after some shifts and a start with none
+    # within the cap; the search must pick the first window enumeration finds
+    outcomes = set()
+    for seed in seeds:
+        start = trainer.random_window(9, z, 0.5, seed)
+        config = trainer.TrainerConfig(z=z, seed=seed, max_window_shifts=max_shifts)
+        expected = _first_solvable_by_enumeration(start, max_shifts)
+        if expected is None:
+            with pytest.raises(trainer.NoSolutionError):
+                trainer.find_solvable_window(start, config)
+            outcomes.add("none")
+            continue
+        window, sols, shifts = trainer.find_solvable_window(start, config)
+        assert (window, shifts) == (expected[0], expected[2])
+        assert np.array_equal(sols.indices, expected[1].indices)
+        outcomes.add("shifted" if shifts else "start")
+    assert {"shifted", "none"} <= outcomes
 
 
 def test_sample_vertex_marked_draws_from_solutions():
