@@ -6,19 +6,16 @@ list of solution indices; that list (not a dense 0/1 array, which would be
 wasteful at 134M vertices) is the marked set the walk searches for.
 
 The 2-2-1 network factors: hidden unit h1 depends only on weights 0-2, h2
-only on weights 3-5, and the output is y = a*h1 + b*h2 - c. Both fast routes
-build the same hidden-unit tables (_hidden) and reduce the four pattern sums
-s_p = a*h1 + b*h2 to one interval, lo = max(s_00, s_11) and
-hi = min(s_01, s_10) (_interval); in exact arithmetic an output bias c
-classifies XOR correctly where lo - c < 0.5 <= hi - c. enumerate_solutions
-lists the exact solution set of one window in float64, and there the interval
-test is the four-pattern test bit for bit: for a fixed c, s -> fl(s - c) is
-monotone and so commutes with min and max (weights are finite, so no NaN
-appears). scan_window_counts counts the solutions of many candidate windows
-at once from the same float64 values by the same operations and the same
-output-bias test (_solves), so the count it returns for a window is that
-window's k. Its bound tests only skip blocks of vertices that hold no
-solution, because rounded sums and differences are monotone.
+only on weights 3-5, and the output is y = a*h1 + b*h2 - c. One kernel
+(_solutions) finds the solutions of many windows at once in float64: it
+builds the hidden-unit tables (_hidden), skips blocks of vertices whose
+bounds show they hold no solution, and reduces the four pattern sums
+s_p = a*h1 + b*h2 of the rest to one interval, lo = max(s_00, s_11) and
+hi = min(s_01, s_10) (_interval), where an output bias c solves when
+lo - c < 0.5 <= hi - c (_solves). That test is the four-pattern test bit for
+bit. enumerate_solutions lists the kernel's solutions of one window as vertex
+indices; scan_window_counts counts them per window, so a window's count is
+its k.
 Two unfactored routes are kept as independent references: a scalar
 per-vertex predicate (evaluate_vertex) and a plain double loop
 (reference_enumerate).
@@ -34,10 +31,10 @@ import numpy as np
 
 from . import mlp
 from .weight_space import (WeightWindow, from_descriptor, index_to_weights,
-                           to_descriptor, window_size)
+                           require_finite_weights, to_descriptor, window_size)
 
 DEFAULT_VERTEX_CAP = 2 ** 30
-_ENUM_BLOCK = 1 << 15  # float64 elements per enumerator tile array and scan table chunk
+_TABLE_BLOCK = 1 << 15  # float64 elements per scan table chunk
 
 _MAGIC = b"QWSOLSET"
 
@@ -136,61 +133,8 @@ def _solves(lo: np.ndarray, hi: np.ndarray, c) -> np.ndarray:
     return (hi - c >= 0.5) & (lo - c < 0.5)
 
 
-def enumerate_solutions(window: WeightWindow) -> SolutionSet:
-    """Exact solution set of a window, in increasing index order.
-
-    Uses the 2-2-1 factoring: h1 depends on weights 0-2 only, h2 on 3-5, and
-    y = a*h1 + b*h2 - c. For each output weight b, the sums
-    s_p = a*h1 + b*h2 over (a, h2 setting, h1 setting) are laid out in vertex
-    index order and reduced in float64 to lo = max(s_00, s_11) and
-    hi = min(s_01, s_10) (_interval). A vertex with output bias c solves XOR
-    when s_p - c >= 0.5 holds exactly for the patterns with target 1, that is
-    when hi - c >= 0.5 and lo - c < 0.5. This is the four-pattern test, bit
-    for bit: for a fixed c, s -> fl(s - c) is monotone, so
-    min(fl(s_01 - c), fl(s_10 - c)) = fl(hi - c), and likewise for the max.
-    Where lo >= hi no c passes, so only the flat offsets with lo < hi are kept
-    and each c is tested on those alone. WeightWindow admits finite weights
-    only, so no NaN breaks the monotone argument. The slab is formed in tiles
-    of whole a values, about _ENUM_BLOCK elements (at least one a value, z^6
-    vertices), in reused buffers of 25 bytes per element; memory is O(z^7),
-    never the whole window. Refuses windows above DEFAULT_VERTEX_CAP vertices.
-    """
-    _require_mlp_window(window)
-    n = window_size(window)
-    if n > DEFAULT_VERTEX_CAP:
-        raise WindowTooLarge(
-            f"window has {n} vertices, above the cap {DEFAULT_VERTEX_CAP}")
-    z = window.z
-    zc, z6, z7 = z ** 3, z ** 6, z ** 7
-    vals = _weight_values(np.asarray([window.origin], dtype=np.int64), z,
-                          window.delta_p)
-    h1 = _hidden(vals, 0, np.empty((4, z, z, z, 1)))[:, :, 0]
-    h2 = _hidden(vals, 3, np.empty((4, z, z, z, 1)))[:, :, 0]
-    a, b, c = vals[6, :, 0], vals[7, :, 0], vals[8, :, 0]
-    ah1 = (a[None, :, None] * h1[:, None, :])[:, :, None, :]  # (pattern, a, 1, h1)
-    na = min(z, max(1, _ENUM_BLOCK // z6))  # a values per tile
-    lo_buf, hi_buf, tmp_buf = (np.empty((na, zc, zc)) for _ in range(3))
-    live_buf = np.empty((na, zc, zc), dtype=bool)
-    parts = [[None] * z for _ in range(z)]  # [c][b], so c-major order is sorted
-    for bi in range(z):
-        bh2 = (b[bi] * h2)[:, None, :, None]
-        tiles = []
-        for ai in range(0, z, na):
-            m = min(na, z - ai)
-            lo, hi, tmp, live = (buf[:m] for buf in (lo_buf, hi_buf, tmp_buf, live_buf))
-            _interval(ah1[:, ai:ai + m], bh2, lo, hi, tmp)
-            np.less(lo, hi, out=live)
-            flat = np.flatnonzero(live)
-            tiles.append((flat + ai * z6, lo.ravel()[flat], hi.ravel()[flat]))
-        flat, lo_v, hi_v = (np.concatenate(col) for col in zip(*tiles))
-        for ci in range(z):
-            hit = _solves(lo_v, hi_v, c[ci])
-            parts[ci][bi] = flat[hit] + (bi * z7 + ci * z * z7)
-    indices = np.concatenate([p for row in parts for p in row])
-    return SolutionSet(window=window, indices=indices)
-
-
 _PAIR_BLOCK = 1 << 13  # float64 elements per working array of the pair test
+_SURVIVOR_BLOCK = 1 << 11  # lo < hi pairs gathered per pass over the output biases
 
 
 def _row_bounds(w: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -210,44 +154,43 @@ def _row_bounds(w: np.ndarray, h: np.ndarray) -> np.ndarray:
     return ext.reshape(4, z * z, n)
 
 
-def scan_window_counts(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
-    """Solution count per candidate window, many windows at once.
+def _solutions(origins: np.ndarray, z: int, delta_p: float):
+    """Yield the solution vertices of many windows, in blocks.
 
-    origins is (B, 9) integers; returns (B,) int64 counts. Count i equals
-    enumerate_solutions(window i).k: the scan forms every pattern sum the
-    enumerator forms from the same float64 values by the same operations.
-    The hidden tables come from _hidden, the products a*h1 and b*h2 from the
-    same operands, the sums from _interval (a*h1 first), and the output-bias
-    test is _solves.
+    origins is (B, 9) int64. Each yield is (window, a row, b row, offset, c
+    index): equal-length arrays but for the c index, an int. Vertex
+    (s1, s2) = divmod(offset, z^2) of block (a row, b row) has index
+    s1 + z^2 (ra % z) + z^3 (s2 + z^2 (rb % z)) + z^6 (ra // z) + z^7 (rb // z)
+    + z^8 c index.
 
-    Windows are taken in chunks of about _ENUM_BLOCK table elements. Each
-    side's table is split into rows of z^2 products that share an output
-    weight and a hidden bias (_row_bounds); for h1 the pattern-00 value is
-    then constant along a row. Each (a row, b row, window) block is bounded
-    before any pair is formed: through _interval its lo is at least the
-    bound's lo and its hi at most the bound's hi, since a rounded sum
-    fl(x + y) is monotone in x and y. fl(x - c) is monotone too, so a block
-    whose bounds fail _solves for every c of its window holds no solution,
-    and dropping it never changes a count. The surviving blocks get the
-    pairwise interval in chunks of about _PAIR_BLOCK elements, and each c is
-    tested where lo < hi.
+    The network factors: h1 depends on weights 0-2 only, h2 on 3-5, and
+    y = a*h1 + b*h2 - c. A vertex solves XOR when s_p - c >= 0.5 holds
+    exactly for the patterns with target 1, s_p = a*h1 + b*h2 in float64.
+    With lo = max(s_00, s_11) and hi = min(s_01, s_10) (_interval, a*h1
+    first) that is hi - c >= 0.5 and lo - c < 0.5 (_solves), the four-pattern
+    test bit for bit: for a fixed c, s -> fl(s - c) is monotone, so
+    min(fl(s_01 - c), fl(s_10 - c)) = fl(hi - c), and likewise for the max.
+    Finite weights (WeightWindow, scan_window_counts) keep NaN out of it.
+
+    Windows are taken in chunks of about _TABLE_BLOCK hidden-table elements.
+    Each side's table is split into rows of z^2 products that share an output
+    weight and a hidden bias (_row_bounds). Each (a row, b row, window) block
+    is bounded before any pair is formed: through _interval its lo is at
+    least the bound's lo and its hi at most the bound's hi, since a rounded
+    sum fl(x + y) is monotone in x and y. A block whose bounds fail _solves
+    for every c of its window holds no solution. The surviving blocks get the
+    pairwise interval in chunks of about _PAIR_BLOCK elements; no c passes
+    where lo >= hi, so only the pairs with lo < hi are kept. Once a table
+    chunk's pair chunks have kept about _SURVIVOR_BLOCK of them, or at its
+    end, one pass over the output biases tests each c on those alone. Keeping
+    a whole table chunk's survivors instead costs megabytes at z=4, where
+    many pairs have lo < hi.
     """
-    origins = np.asarray(origins)
-    if origins.ndim != 2 or origins.shape[1] != 9:
-        raise ValueError("origins must be (B, 9)")
-    if not np.issubdtype(origins.dtype, np.integer):
-        raise ValueError(f"origins must be integers, got {origins.dtype}")
-    if z < 1:
-        raise ValueError(f"z must be positive, got {z}")
-    if not (np.isfinite(delta_p) and delta_p > 0):
-        raise ValueError(f"delta_p must be finite and positive, got {delta_p}")
-    origins = origins.astype(np.int64, copy=False)
     n_all, z2, z4 = origins.shape[0], z * z, z ** 4
-    step = max(1, _ENUM_BLOCK // (4 * z4))  # windows per table chunk
+    step = max(1, _TABLE_BLOCK // (4 * z4))  # windows per table chunk
     per = max(1, _PAIR_BLOCK // z4)  # blocks per pair chunk
     lo_buf, hi_buf, tmp_buf = (np.empty(per * z4) for _ in range(3))
     live_buf = np.empty(per * z4, dtype=bool)
-    counts = np.zeros(n_all, dtype=np.int64)
     for i in range(0, n_all, step):
         vals = _weight_values(origins[i:i + step], z, delta_p)
         n = vals.shape[2]
@@ -258,6 +201,7 @@ def scan_window_counts(origins: np.ndarray, z: int, delta_p: float) -> np.ndarra
         _interval(_row_bounds(a, h1)[:, :, None], _row_bounds(b, h2)[:, None],
                   lo, hi, tmp)
         ra, rb, w = np.nonzero(_solves(lo, hi, c[:, None, None]).any(axis=0))
+        kept, n_kept = [], 0
         for j in range(0, w.size, per):
             wj, ra_j, rb_j = w[j:j + per], ra[j:j + per], rb[j:j + per]
             a_rows = (a[ra_j // z, wj, None, None] * h1[:, ra_j % z, :, wj]).transpose(1, 0, 2)
@@ -267,10 +211,66 @@ def scan_window_counts(origins: np.ndarray, z: int, delta_p: float) -> np.ndarra
             _interval(a_rows[:, :, :, None], b_rows[:, :, None, :], lo, hi, tmp)
             np.less(lo, hi, out=live)
             flat = np.flatnonzero(live)
-            win = wj[flat // z4]
-            lo_v, hi_v = lo.ravel()[flat], hi.ravel()[flat]
-            for cv in c[:, win]:
-                np.add.at(counts, i + win[_solves(lo_v, hi_v, cv)], 1)
+            kept.append((flat + j * z4, lo.ravel()[flat], hi.ravel()[flat]))
+            n_kept += flat.size
+            if n_kept < _SURVIVOR_BLOCK and j + per < w.size:
+                continue
+            flat, lo_v, hi_v = (np.concatenate(col) for col in zip(*kept))
+            kept, n_kept = [], 0
+            blk, off = np.divmod(flat, z4)
+            win = w[blk]
+            for ci in range(z):
+                hit = np.flatnonzero(_solves(lo_v, hi_v, c[ci, win]))
+                if hit.size:
+                    bh = blk[hit]
+                    yield i + win[hit], ra[bh], rb[bh], off[hit], ci
+
+
+def enumerate_solutions(window: WeightWindow) -> SolutionSet:
+    """Exact solution set of a window, in increasing index order.
+
+    The solutions are those the shared kernel (_solutions) finds, turned into
+    vertex indices. Scratch is the kernel's chunks and the solutions, not the
+    window. Refuses windows above DEFAULT_VERTEX_CAP vertices.
+    """
+    _require_mlp_window(window)
+    n = window_size(window)
+    if n > DEFAULT_VERTEX_CAP:
+        raise WindowTooLarge(
+            f"window has {n} vertices, above the cap {DEFAULT_VERTEX_CAP}")
+    z = window.z
+    z2, z3 = z * z, z ** 3
+    parts = [np.empty(0, dtype=np.int64)]
+    for _, ra, rb, off, ci in _solutions(
+            np.asarray([window.origin], dtype=np.int64), z, window.delta_p):
+        s1, s2 = np.divmod(off, z2)
+        parts.append(s1 + z2 * (ra % z) + z3 * (s2 + z2 * (rb % z))
+                     + z ** 6 * (ra // z) + z ** 7 * (rb // z) + z ** 8 * ci)
+    return SolutionSet(window=window, indices=np.sort(np.concatenate(parts)))
+
+
+def scan_window_counts(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
+    """Solution count per candidate window, many windows at once.
+
+    origins is (B, 9) integers; returns (B,) int64 counts. Count i is the
+    number of solutions the shared kernel (_solutions) finds in window i, so
+    it equals enumerate_solutions(window i).k.
+    """
+    origins = np.asarray(origins)
+    if origins.ndim != 2 or origins.shape[1] != 9:
+        raise ValueError("origins must be (B, 9)")
+    if not np.issubdtype(origins.dtype, np.integer):
+        raise ValueError(f"origins must be integers, got {origins.dtype}")
+    if z < 1:
+        raise ValueError(f"z must be positive, got {z}")
+    if not (np.isfinite(delta_p) and delta_p > 0):
+        raise ValueError(f"delta_p must be finite and positive, got {delta_p}")
+    if origins.size:
+        require_finite_weights(delta_p, (origins.max(), origins.min()), z)
+    origins = origins.astype(np.int64, copy=False)
+    counts = np.zeros(origins.shape[0], dtype=np.int64)
+    for win, *_ in _solutions(origins, z, delta_p):
+        np.add.at(counts, win, 1)
     return counts
 
 

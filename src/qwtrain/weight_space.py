@@ -51,14 +51,20 @@ class WeightWindow:
         if not (math.isfinite(self.delta_p) and self.delta_p > 0):
             raise ValueError(
                 f"delta_p must be finite and positive, got {self.delta_p}")
-        # every weight is at most delta_p * (max|origin_j| + z) in magnitude
-        try:
-            extreme = self.delta_p * (max(abs(int(o)) for o in self.origin) + self.z)
-        except OverflowError:
-            extreme = math.inf
-        if not math.isfinite(extreme):
-            raise ValueError("window weights must be finite: delta_p * "
-                             "(max|origin_j| + z) overflows a float")
+        require_finite_weights(self.delta_p, self.origin, self.z)
+
+
+def require_finite_weights(delta_p: float, origin, z: int) -> None:
+    """ValueError unless delta_p * (max|origin_j| + z), a bound on every
+    weight's magnitude in a window of side z, is a finite float. origin may
+    be any integers with the origin's largest magnitude, such as its extremes."""
+    try:
+        extreme = delta_p * (max(abs(int(o)) for o in origin) + z)
+    except OverflowError:
+        extreme = math.inf
+    if not math.isfinite(extreme):
+        raise ValueError("window weights must be finite: delta_p * "
+                         "(max|origin_j| + z) overflows a float")
 
 
 def window_size(window: WeightWindow) -> int:

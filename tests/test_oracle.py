@@ -114,10 +114,13 @@ def test_enumerate_equals_the_four_pattern_test(z, delta_p, origin):
     assert np.array_equal(fast.indices, _four_pattern_solutions(window))
 
 
-def test_enumerate_scratch_stays_within_its_tiles():
-    # tiles of one a value take about 25 z^6 bytes (4.2 z^7 at z=6); lo and
-    # hi over a whole z^7 slab would take 25 z^7, its four patterns 32 z^7
-    window = WeightWindow(w=9, z=6, origin=(0,) * 9, delta_p=0.5)
+@pytest.mark.parametrize("z,budget", [(6, 8 * 6 ** 7), (8, 16 * 2 ** 20)],
+                         ids=("z=6", "z=8"))
+def test_enumerate_scratch_stays_bounded(z, budget):
+    # scratch follows the pair test's chunks and the lo < hi survivors, not
+    # the window: lo and hi over a whole z^7 slab would take about 25 z^7
+    # bytes (50 MiB at z=8), its four patterns 32 z^7
+    window = WeightWindow(w=9, z=z, origin=(0,) * 9, delta_p=0.5)
     tracemalloc.start()
     try:
         sols = oracle.enumerate_solutions(window)
@@ -125,14 +128,17 @@ def test_enumerate_scratch_stays_within_its_tiles():
     finally:
         tracemalloc.stop()
     assert sols.k > 0
-    assert peak < 8 * 6 ** 7
+    assert peak < budget
 
 
 @pytest.mark.parametrize("z,delta_p,seeds,rows_per_seed,budget_mib", [
-    (4, 1.0, range(2), 16, 1.5), (2, 0.5, range(4), 4096, 2.25)])
+    (4, 1.0, range(2), 16, 1.5), (2, 0.5, range(4), 4096, 2.25),
+    (4, 1.0, (13, 34), 32, 1.5)])
 def test_scan_scratch_stays_bounded(z, delta_p, seeds, rows_per_seed, budget_mib):
     # the trainer's largest batches at z=4 and z=2; float64 tables in bigger
-    # chunks would raise the process's peak RSS
+    # chunks would raise the process's peak RSS. The z=4 batches of seeds 13
+    # and 34 hold many pairs with lo < hi: kept for a whole table chunk at
+    # once, they would take about 2.9 MiB
     origins = _ring_batches(z, delta_p, seeds, rows_per_seed)
     tracemalloc.start()
     try:
@@ -309,8 +315,9 @@ def test_scan_validates_shape():
     (np.full((2, 9), 0.7), 2, 0.5, "origins must be integers"),
     (np.zeros((2, 9)), 2, 0.5, "origins must be integers"),
     (np.zeros((2, 9), dtype=bool), 2, 0.5, "origins must be integers"),
+    (np.full((1, 9), 10 ** 10), 2, 1e300, "window weights must be finite"),
 ], ids=("z=0", "z<0", "delta_p=0", "delta_p<0", "delta_p=nan", "delta_p=inf",
-        "fractional origins", "float origins", "bool origins"))
+        "fractional origins", "float origins", "bool origins", "weights overflow"))
 def test_scan_validates_z_delta_p_and_origins(origins, z, delta_p, match):
     with pytest.raises(ValueError, match=match):
         oracle.scan_window_counts(origins, z, delta_p)
