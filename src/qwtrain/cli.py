@@ -183,6 +183,17 @@ def epochs_summary(results) -> dict:
     }
 
 
+def backprop_summary(results) -> str:
+    """One line: successes, the count of each outcome and the epoch statistics."""
+    counts = {o: sum(1 for r in results if r.outcome == o)
+              for o in ("success", "epoch_limit", "stagnation")}
+    s = epochs_summary(results)
+    return (f"{counts['success']}/{len(results)} successful, outcomes "
+            + " ".join(f"{o}={n}" for o, n in counts.items())
+            + f", epochs min={s['min']} mean={s['mean']:.2f} max={s['max']} "
+            f"std={s['std']:.2f}")
+
+
 def cmd_backprop(cfg, out_dir):
     if cfg["runs"] < 0:
         raise ValueError("runs must be non-negative")
@@ -199,14 +210,12 @@ def cmd_backprop(cfg, out_dir):
     mlp.export_train_results(rows, out)
     if not rows:
         return [out], f"backprop: 0 runs -> {out}"
-    s = epochs_summary([r for _, _, r in rows])
+    results = [r for _, _, r in rows]
+    s = epochs_summary(results)
     with open(out, "a", newline="") as fh:
         fh.write(f"summary,min={s['min']},mean={s['mean']:.2f},"
                  f"max={s['max']},std={s['std']:.2f}\n")
-    n_success = sum(1 for _, _, r in rows if r.outcome == "success")
-    return [out], (f"backprop: lr={cfg['lr']}, {n_success}/{len(rows)} successful, "
-                   f"epochs min={s['min']} mean={s['mean']:.2f} max={s['max']} "
-                   f"std={s['std']:.2f} -> {out}")
+    return [out], f"backprop: lr={cfg['lr']}, {backprop_summary(results)} -> {out}"
 
 
 # ---------------------------------------------------------------- reproduce
@@ -312,11 +321,7 @@ def _report_backprop_section(lines, outputs, out_dir, seed):
         mlp.export_train_results(rows, path)
         outputs.append(path)
         results = [r for _, _, r in rows]
-        s = epochs_summary(results)
-        n_success = sum(1 for r in results if r.outcome == "success")
-        lines.append(f"- lr={lr}: {n_success}/{len(results)} successful, epochs "
-                     f"min={s['min']} mean={s['mean']:.2f} max={s['max']} "
-                     f"std={s['std']:.2f}")
+        lines.append(f"- lr={lr}: {backprop_summary(results)}")
         runs.append(results)
     fast, slow = runs
     successes = [r.epochs_used for r in fast if r.outcome == "success"]

@@ -8,6 +8,11 @@ subtracted. An input classifies as 1 when y3 >= 0.5.
 The baseline trainer is plain full-batch gradient descent on the mean squared
 error over the four XOR patterns, stopping at zero classification error, at
 the epoch limit, or when the error stops improving (stagnation).
+
+There is one forward pass: `forward` is the only code that writes the
+network's expressions. `_pass` runs it on the four patterns, and the
+classification error, the MSE and the gradient are each read off that pass.
+The trainer makes one pass per epoch.
 """
 
 from __future__ import annotations
@@ -49,45 +54,67 @@ def classify(weights, x0: float, x1: float) -> int:
     return 1 if forward(weights, x0, x1)[2] >= 0.5 else 0
 
 
+def _pass(weights) -> tuple:
+    """Flat (h1, h2, y3) of the patterns 00, 01, 10 and 11, in XOR_INPUTS order."""
+    return (*forward(weights, 0.0, 0.0), *forward(weights, 0.0, 1.0),
+            *forward(weights, 1.0, 0.0), *forward(weights, 1.0, 1.0))
+
+
+def _wrong(f) -> int:
+    """How many of the four patterns the pass f classifies wrongly.
+
+    Each entry says whether one pattern is right. `not y >= 0.5` is `classify`'s
+    test for a 0 target; unlike `y < 0.5`, it counts a NaN output as 0.
+    """
+    return [not f[2] >= 0.5, f[5] >= 0.5, f[8] >= 0.5, not f[11] >= 0.5].count(False)
+
+
+def _sq(f) -> float:
+    """Sum over the four patterns of (y3 - target)^2, in pattern order."""
+    e0, e1, e2, e3 = f[2] - 0.0, f[5] - 1.0, f[8] - 1.0, f[11] - 0.0
+    return 0.0 + e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
+
+
+def _grad(f, a, b) -> tuple:
+    """Gradient of the MSE of the pass f, whose output weights are a and b.
+
+    Each component is summed over the patterns in order from 0.0, the way
+    a per-pattern `+=` loop would; that order keeps the signs of zeros.
+    """
+    h10, h20, y0, h11, h21, y1, h12, h22, y2, h13, h23, y3 = f
+    d0, d1, d2, d3 = 0.5 * (y0 - 0.0), 0.5 * (y1 - 1.0), 0.5 * (y2 - 1.0), 0.5 * (y3 - 0.0)
+    p0 = d0 * a * h10 * (1.0 - h10)
+    p1 = d1 * a * h11 * (1.0 - h11)
+    p2 = d2 * a * h12 * (1.0 - h12)
+    p3 = d3 * a * h13 * (1.0 - h13)
+    q0 = d0 * b * h20 * (1.0 - h20)
+    q1 = d1 * b * h21 * (1.0 - h21)
+    q2 = d2 * b * h22 * (1.0 - h22)
+    q3 = d3 * b * h23 * (1.0 - h23)
+    return (0.0 + p0 * 0.0 + p1 * 0.0 + p2 * 1.0 + p3 * 1.0,
+            0.0 + p0 * 0.0 + p1 * 1.0 + p2 * 0.0 + p3 * 1.0,
+            0.0 - p0 - p1 - p2 - p3,
+            0.0 + q0 * 0.0 + q1 * 0.0 + q2 * 1.0 + q3 * 1.0,
+            0.0 + q0 * 0.0 + q1 * 1.0 + q2 * 0.0 + q3 * 1.0,
+            0.0 - q0 - q1 - q2 - q3,
+            0.0 + d0 * h10 + d1 * h11 + d2 * h12 + d3 * h13,
+            0.0 + d0 * h20 + d1 * h21 + d2 * h22 + d3 * h23,
+            0.0 - d0 - d1 - d2 - d3)
+
+
 def classification_error(weights) -> int:
     """How many of the four XOR patterns the net gets wrong (0..4)."""
-    wrong = 0
-    for (x0, x1), t in zip(XOR_INPUTS, XOR_TARGETS):
-        if classify(weights, x0, x1) != int(t):
-            wrong += 1
-    return wrong
+    return _wrong(_pass(weights))
 
 
 def mse(weights) -> float:
     """Mean over the four patterns of (y3 - target)^2."""
-    s = 0.0
-    for (x0, x1), t in zip(XOR_INPUTS, XOR_TARGETS):
-        e = forward(weights, x0, x1)[2] - t
-        s += e * e
-    return s / 4.0
+    return _sq(_pass(weights)) / 4.0
 
 
 def mse_gradient(weights) -> np.ndarray:
     """Analytic gradient of mse() with respect to the nine weights."""
-    w00, w01, th1, w10, w11, th2, w20, w21, th3 = weights
-    g = np.zeros(N_WEIGHTS)
-    for (x0, x1), t in zip(XOR_INPUTS, XOR_TARGETS):
-        h1 = sigmoid(w00 * x0 + w01 * x1 - th1)
-        h2 = sigmoid(w10 * x0 + w11 * x1 - th2)
-        y = w20 * h1 + w21 * h2 - th3
-        d = 0.5 * (y - t)  # dE/dy with E = mean of squared errors
-        dh1 = d * w20 * h1 * (1.0 - h1)
-        dh2 = d * w21 * h2 * (1.0 - h2)
-        g[0] += dh1 * x0
-        g[1] += dh1 * x1
-        g[2] -= dh1
-        g[3] += dh2 * x0
-        g[4] += dh2 * x1
-        g[5] -= dh2
-        g[6] += d * h1
-        g[7] += d * h2
-        g[8] -= d
-    return g
+    return np.array(_grad(_pass(weights), weights[6], weights[7]))
 
 
 @dataclass(frozen=True)
@@ -103,6 +130,10 @@ class BackpropConfig:
             raise ValueError("learning_rate must be finite and positive")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
+        if self.stagnation_window < 1:
+            raise ValueError("stagnation_window must be at least 1")
+        if not (math.isfinite(self.init_range) and self.init_range > 0):
+            raise ValueError("init_range must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -121,14 +152,6 @@ def init_weights(config: BackpropConfig) -> np.ndarray:
     return rng.uniform(-config.init_range, config.init_range, N_WEIGHTS)
 
 
-def _classifies_xor(w0, w1, t1, w2, w3, t2, a, b, c) -> bool:
-    for (x0, x1), t in zip(XOR_INPUTS, XOR_TARGETS):
-        y = a * sigmoid(w0 * x0 + w1 * x1 - t1) + b * sigmoid(w2 * x0 + w3 * x1 - t2) - c
-        if (y >= 0.5) != (t == 1.0):
-            return False
-    return True
-
-
 def backprop_train(config: BackpropConfig) -> TrainResult:
     """Full-batch gradient descent on the XOR task.
 
@@ -138,52 +161,31 @@ def backprop_train(config: BackpropConfig) -> TrainResult:
     to improve on its best by more than 1e-12 for stagnation_window epochs in
     a row (stagnation). An init that already classifies correctly counts as
     success with zero epochs. Bit-reproducible for a given config.
+
+    Each epoch makes one forward pass (`_pass`) over the four patterns: the
+    pass that tests an update for success also gives the next epoch's
+    gradient and its pre-update MSE.
     """
-    w = init_weights(config)
-    w0, w1, t1, w2, w3, t2, a, b, c = (float(v) for v in w)
-    if _classifies_xor(w0, w1, t1, w2, w3, t2, a, b, c):
-        weights = np.array([w0, w1, t1, w2, w3, t2, a, b, c])
+    w = init_weights(config).tolist()
+    f = _pass(w)
+    if _wrong(f) == 0:
+        weights = np.array(w)
         return TrainResult("success", 0, weights, mse(weights))
 
     lr = config.learning_rate
     best = math.inf
     flat_epochs = 0
-    outcome = "epoch_limit"
-    epochs = config.max_epochs
+    outcome, epochs = "epoch_limit", config.max_epochs
     for ep in range(1, config.max_epochs + 1):
-        g = [0.0] * N_WEIGHTS
-        sq = 0.0
-        for (x0, x1), t in zip(XOR_INPUTS, XOR_TARGETS):
-            h1 = sigmoid(w0 * x0 + w1 * x1 - t1)
-            h2 = sigmoid(w2 * x0 + w3 * x1 - t2)
-            y = a * h1 + b * h2 - c
-            e = y - t
-            sq += e * e
-            d = 0.5 * e
-            dh1 = d * a * h1 * (1.0 - h1)
-            dh2 = d * b * h2 * (1.0 - h2)
-            g[0] += dh1 * x0
-            g[1] += dh1 * x1
-            g[2] -= dh1
-            g[3] += dh2 * x0
-            g[4] += dh2 * x1
-            g[5] -= dh2
-            g[6] += d * h1
-            g[7] += d * h2
-            g[8] -= d
-        w0 -= lr * g[0]
-        w1 -= lr * g[1]
-        t1 -= lr * g[2]
-        w2 -= lr * g[3]
-        w3 -= lr * g[4]
-        t2 -= lr * g[5]
-        a -= lr * g[6]
-        b -= lr * g[7]
-        c -= lr * g[8]
-        if _classifies_xor(w0, w1, t1, w2, w3, t2, a, b, c):
+        cur = 0.25 * _sq(f)
+        g = _grad(f, w[6], w[7])
+        w = [w[0] - lr * g[0], w[1] - lr * g[1], w[2] - lr * g[2],
+             w[3] - lr * g[3], w[4] - lr * g[4], w[5] - lr * g[5],
+             w[6] - lr * g[6], w[7] - lr * g[7], w[8] - lr * g[8]]
+        f = _pass(w)
+        if _wrong(f) == 0:
             outcome, epochs = "success", ep
             break
-        cur = 0.25 * sq
         if cur < best - STAGNATION_EPS:
             best = cur
             flat_epochs = 0
@@ -193,7 +195,7 @@ def backprop_train(config: BackpropConfig) -> TrainResult:
                 outcome, epochs = "stagnation", ep
                 break
 
-    weights = np.array([w0, w1, t1, w2, w3, t2, a, b, c])
+    weights = np.array(w)
     return TrainResult(outcome, epochs, weights, mse(weights))
 
 

@@ -200,7 +200,7 @@ def test_train_no_solution_is_a_runtime_error(tmp_path, capsys):
     assert "no window with solutions" in capsys.readouterr().err
 
 
-def test_backprop_csv_and_summary(tmp_path):
+def test_backprop_csv_and_summary(tmp_path, capsys):
     assert run(["backprop", "--runs", "3", "--seed", "500", "--out", "b.csv",
                 "--out-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "b.csv").read_text().splitlines()
@@ -209,6 +209,13 @@ def test_backprop_csv_and_summary(tmp_path):
     assert lines[-1].startswith("summary,min=")
     seeds = [line.split(",")[1] for line in lines[1:4]]
     assert seeds == ["500", "501", "502"]
+    assert ("3/3 successful, outcomes success=3 epoch_limit=0 stagnation=0, epochs min="
+            in capsys.readouterr().out)
+    # at lr 1e-300 the weights never move, so every run stagnates
+    assert run(["backprop", "--runs", "2", "--seed", "500", "--lr", "1e-300",
+                "--out-dir", str(tmp_path)]) == 0
+    assert ("0/2 successful, outcomes success=0 epoch_limit=0 stagnation=2, epochs "
+            "min=1001 mean=1001.00 max=1001 std=0.00" in capsys.readouterr().out)
 
 
 def test_backprop_rejects_nonpositive_lr(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwtrain import mlp
@@ -83,6 +83,12 @@ def test_config_validation():
         mlp.BackpropConfig(max_epochs=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         mlp.BackpropConfig(seed=-1)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="stagnation_window must be at least 1"):
+            mlp.BackpropConfig(stagnation_window=bad)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="init_range must be finite and positive"):
+            mlp.BackpropConfig(init_range=bad)
 
 
 def test_init_weights_deterministic_and_in_range():
@@ -135,3 +141,146 @@ def test_export_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "lr,seed,outcome,epochs,final_mse"
     assert lines[1] == "0.5,500,success,1063,0.18207351920057852"
+
+
+# The per-pattern loops that the one forward pass replaced, kept as the
+# reference that mlp's helpers and trainer must match bit for bit.
+
+def _ref_classification_error(weights):
+    wrong = 0
+    for (x0, x1), t in zip(mlp.XOR_INPUTS, mlp.XOR_TARGETS):
+        if mlp.classify(weights, x0, x1) != int(t):
+            wrong += 1
+    return wrong
+
+
+def _ref_mse(weights):
+    s = 0.0
+    for (x0, x1), t in zip(mlp.XOR_INPUTS, mlp.XOR_TARGETS):
+        e = mlp.forward(weights, x0, x1)[2] - t
+        s += e * e
+    return s / 4.0
+
+
+def _ref_mse_gradient(weights):
+    w00, w01, th1, w10, w11, th2, w20, w21, th3 = weights
+    g = np.zeros(9)
+    for (x0, x1), t in zip(mlp.XOR_INPUTS, mlp.XOR_TARGETS):
+        h1 = mlp.sigmoid(w00 * x0 + w01 * x1 - th1)
+        h2 = mlp.sigmoid(w10 * x0 + w11 * x1 - th2)
+        y = w20 * h1 + w21 * h2 - th3
+        d = 0.5 * (y - t)
+        dh1 = d * w20 * h1 * (1.0 - h1)
+        dh2 = d * w21 * h2 * (1.0 - h2)
+        g[0] += dh1 * x0
+        g[1] += dh1 * x1
+        g[2] -= dh1
+        g[3] += dh2 * x0
+        g[4] += dh2 * x1
+        g[5] -= dh2
+        g[6] += d * h1
+        g[7] += d * h2
+        g[8] -= d
+    return g
+
+
+def _ref_classifies_xor(w0, w1, t1, w2, w3, t2, a, b, c):
+    for (x0, x1), t in zip(mlp.XOR_INPUTS, mlp.XOR_TARGETS):
+        y = a * mlp.sigmoid(w0 * x0 + w1 * x1 - t1) + b * mlp.sigmoid(w2 * x0 + w3 * x1 - t2) - c
+        if (y >= 0.5) != (t == 1.0):
+            return False
+    return True
+
+
+def _ref_backprop_train(config):
+    w0, w1, t1, w2, w3, t2, a, b, c = (float(v) for v in mlp.init_weights(config))
+    if _ref_classifies_xor(w0, w1, t1, w2, w3, t2, a, b, c):
+        weights = np.array([w0, w1, t1, w2, w3, t2, a, b, c])
+        return "success", 0, weights, _ref_mse(weights)
+    lr = config.learning_rate
+    best = math.inf
+    flat_epochs = 0
+    outcome, epochs = "epoch_limit", config.max_epochs
+    for ep in range(1, config.max_epochs + 1):
+        g = [0.0] * 9
+        sq = 0.0
+        for (x0, x1), t in zip(mlp.XOR_INPUTS, mlp.XOR_TARGETS):
+            h1 = mlp.sigmoid(w0 * x0 + w1 * x1 - t1)
+            h2 = mlp.sigmoid(w2 * x0 + w3 * x1 - t2)
+            y = a * h1 + b * h2 - c
+            e = y - t
+            sq += e * e
+            d = 0.5 * e
+            dh1 = d * a * h1 * (1.0 - h1)
+            dh2 = d * b * h2 * (1.0 - h2)
+            g[0] += dh1 * x0
+            g[1] += dh1 * x1
+            g[2] -= dh1
+            g[3] += dh2 * x0
+            g[4] += dh2 * x1
+            g[5] -= dh2
+            g[6] += d * h1
+            g[7] += d * h2
+            g[8] -= d
+        w0 -= lr * g[0]
+        w1 -= lr * g[1]
+        t1 -= lr * g[2]
+        w2 -= lr * g[3]
+        w3 -= lr * g[4]
+        t2 -= lr * g[5]
+        a -= lr * g[6]
+        b -= lr * g[7]
+        c -= lr * g[8]
+        if _ref_classifies_xor(w0, w1, t1, w2, w3, t2, a, b, c):
+            outcome, epochs = "success", ep
+            break
+        cur = 0.25 * sq
+        if cur < best - mlp.STAGNATION_EPS:
+            best = cur
+            flat_epochs = 0
+        else:
+            flat_epochs += 1
+            if flat_epochs >= config.stagnation_window:
+                outcome, epochs = "stagnation", ep
+                break
+    weights = np.array([w0, w1, t1, w2, w3, t2, a, b, c])
+    return outcome, epochs, weights, _ref_mse(weights)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("config", [
+    *(mlp.BackpropConfig(seed=s) for s in range(500, 550)),
+    mlp.BackpropConfig(learning_rate=1e-4, seed=500, max_epochs=2000),
+    mlp.BackpropConfig(learning_rate=1e-300, seed=500, stagnation_window=50,
+                       max_epochs=10000),
+], ids=lambda c: f"lr{c.learning_rate}-seed{c.seed}")
+def test_backprop_matches_the_per_pattern_reference(config):
+    res = mlp.backprop_train(config)
+    outcome, epochs, weights, final_mse = _ref_backprop_train(config)
+    assert (res.outcome, res.epochs_used) == (outcome, epochs)
+    assert res.final_weights.tobytes() == weights.tobytes()
+    assert _bits(res.final_mse) == _bits(final_mse)
+
+
+_WEIGHTS = st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9)
+
+
+@given(st.one_of(
+    _WEIGHTS,
+    _WEIGHTS.map(lambda w: [300.0 * v for v in w]),
+    # multiples of 0.5 in [-1, 1] put y3 exactly on the 0.5 threshold often
+    st.lists(st.integers(-2, 2).map(lambda k: 0.5 * k), min_size=9, max_size=9),
+    st.just([0.0] * 9),
+))
+@example([0.0] * 8 + [-0.5])  # y3 = 0.5 on every pattern
+# an exact fit: h1 = OR and h2 = AND saturate to 0.0 and 1.0, so every error is +0.0
+@example([1600.0, 1600.0, 800.0, 1600.0, 1600.0, 2400.0, 1.0, -1.0, 0.0])
+@settings(max_examples=300, deadline=None)
+def test_helpers_match_the_per_pattern_reference(weights):
+    w = np.array(weights)
+    assert mlp.classification_error(w) == _ref_classification_error(w)
+    assert _bits(mlp.mse(w)) == _bits(_ref_mse(w))
+    assert mlp.mse_gradient(w).tobytes() == _ref_mse_gradient(w).tobytes()
