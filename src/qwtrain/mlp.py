@@ -9,10 +9,13 @@ The baseline trainer is plain full-batch gradient descent on the mean squared
 error over the four XOR patterns, stopping at zero classification error, at
 the epoch limit, or when the error stops improving (stagnation).
 
-There is one forward pass: `forward` is the only code that writes the
-network's expressions. `_pass` runs it on the four patterns, and the
-classification error, the MSE and the gradient are each read off that pass.
-The trainer makes one pass per epoch.
+`forward` writes the network's expressions and `_pass` runs it on the four
+patterns; the classification error, the MSE and the gradient are each read
+off that pass (`_wrong`, `_sq`, `_grad`). The trainer's epoch loop is the one
+other place that writes them: it fuses the pass, the success test, the error
+and gradient sums and the update into local floats, with the helpers'
+expressions in their order, and the per-pattern reference tests pin it to
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -126,6 +129,10 @@ class BackpropConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_epochs", "stagnation_window", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
         if self.max_epochs < 1:
@@ -162,41 +169,82 @@ def backprop_train(config: BackpropConfig) -> TrainResult:
     a row (stagnation). An init that already classifies correctly counts as
     success with zero epochs. Bit-reproducible for a given config.
 
-    Each epoch makes one forward pass (`_pass`) over the four patterns: the
-    pass that tests an update for success also gives the next epoch's
-    gradient and its pre-update MSE.
+    The epoch is fused: the nine weights live in local floats and the four
+    patterns are written out inline, so an epoch calls nothing but
+    `sigmoid`. Each epoch makes one pass: the pass that tests an update for
+    success also gives the next epoch's gradient and its pre-update MSE.
+    The pass repeats `forward`'s expressions with x0, x1 in {0.0, 1.0}
+    (`w * 1.0` is `w` and `y - 0.0` is `y`, bit for bit), tests success as
+    `_wrong` does, and sums the error and gradient in `_sq`'s and `_grad`'s
+    order from 0.0; the `* 0.0` terms stay because they carry a NaN from a
+    non-finite weight. Tests pin the loop bit for bit to a per-pattern
+    reference built on `forward`. final_mse is the last pass's error sum
+    over 4, which equals `mse(final_weights)`.
     """
-    w = init_weights(config).tolist()
-    f = _pass(w)
-    if _wrong(f) == 0:
-        weights = np.array(w)
-        return TrainResult("success", 0, weights, mse(weights))
-
+    w00, w01, th1, w10, w11, th2, a, b, c = init_weights(config).tolist()
     lr = config.learning_rate
+    max_epochs = config.max_epochs
+    window = config.stagnation_window
     best = math.inf
     flat_epochs = 0
-    outcome, epochs = "epoch_limit", config.max_epochs
-    for ep in range(1, config.max_epochs + 1):
-        cur = 0.25 * _sq(f)
-        g = _grad(f, w[6], w[7])
-        w = [w[0] - lr * g[0], w[1] - lr * g[1], w[2] - lr * g[2],
-             w[3] - lr * g[3], w[4] - lr * g[4], w[5] - lr * g[5],
-             w[6] - lr * g[6], w[7] - lr * g[7], w[8] - lr * g[8]]
-        f = _pass(w)
-        if _wrong(f) == 0:
-            outcome, epochs = "success", ep
+    outcome = "epoch_limit"
+    ep = 0
+    while True:
+        h10 = sigmoid(w00 * 0.0 + w01 * 0.0 - th1)
+        h20 = sigmoid(w10 * 0.0 + w11 * 0.0 - th2)
+        h11 = sigmoid(w00 * 0.0 + w01 - th1)
+        h21 = sigmoid(w10 * 0.0 + w11 - th2)
+        h12 = sigmoid(w00 + w01 * 0.0 - th1)
+        h22 = sigmoid(w10 + w11 * 0.0 - th2)
+        h13 = sigmoid(w00 + w01 - th1)
+        h23 = sigmoid(w10 + w11 - th2)
+        y0 = a * h10 + b * h20 - c
+        y1 = a * h11 + b * h21 - c
+        y2 = a * h12 + b * h22 - c
+        y3 = a * h13 + b * h23 - c
+        e1 = y1 - 1.0
+        e2 = y2 - 1.0
+        sq = 0.0 + y0 * y0 + e1 * e1 + e2 * e2 + y3 * y3
+        if not y0 >= 0.5 and y1 >= 0.5 and y2 >= 0.5 and not y3 >= 0.5:
+            outcome = "success"
             break
-        if cur < best - STAGNATION_EPS:
-            best = cur
-            flat_epochs = 0
-        else:
-            flat_epochs += 1
-            if flat_epochs >= config.stagnation_window:
-                outcome, epochs = "stagnation", ep
-                break
+        if ep:  # epoch ep's stagnation test reads its pre-update MSE
+            if cur < best - STAGNATION_EPS:
+                best = cur
+                flat_epochs = 0
+            else:
+                flat_epochs += 1
+                if flat_epochs >= window:
+                    outcome = "stagnation"
+                    break
+        if ep == max_epochs:
+            break
+        ep += 1
+        cur = 0.25 * sq
+        d0 = 0.5 * y0
+        d1 = 0.5 * e1
+        d2 = 0.5 * e2
+        d3 = 0.5 * y3
+        p0 = d0 * a * h10 * (1.0 - h10)
+        p1 = d1 * a * h11 * (1.0 - h11)
+        p2 = d2 * a * h12 * (1.0 - h12)
+        p3 = d3 * a * h13 * (1.0 - h13)
+        q0 = d0 * b * h20 * (1.0 - h20)
+        q1 = d1 * b * h21 * (1.0 - h21)
+        q2 = d2 * b * h22 * (1.0 - h22)
+        q3 = d3 * b * h23 * (1.0 - h23)
+        w00 -= lr * (0.0 + p0 * 0.0 + p1 * 0.0 + p2 + p3)
+        w01 -= lr * (0.0 + p0 * 0.0 + p1 + p2 * 0.0 + p3)
+        th1 -= lr * (0.0 - p0 - p1 - p2 - p3)
+        w10 -= lr * (0.0 + q0 * 0.0 + q1 * 0.0 + q2 + q3)
+        w11 -= lr * (0.0 + q0 * 0.0 + q1 + q2 * 0.0 + q3)
+        th2 -= lr * (0.0 - q0 - q1 - q2 - q3)
+        a -= lr * (0.0 + d0 * h10 + d1 * h11 + d2 * h12 + d3 * h13)
+        b -= lr * (0.0 + d0 * h20 + d1 * h21 + d2 * h22 + d3 * h23)
+        c -= lr * (0.0 - d0 - d1 - d2 - d3)
 
-    weights = np.array(w)
-    return TrainResult(outcome, epochs, weights, mse(weights))
+    return TrainResult(outcome, ep, np.array([w00, w01, th1, w10, w11, th2, a, b, c]),
+                       sq / 4.0)
 
 
 def export_train_results(rows, path) -> None:

@@ -53,6 +53,10 @@ class TrainerConfig:
     count_noise: float = 0.0  # stddev of relative noise on the counted k
 
     def __post_init__(self):
+        for name in ("z", "l", "seed", "max_window_shifts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if not (math.isfinite(self.delta_p) and self.delta_p > 0):
             raise ValueError("delta_p must be finite and positive")
         if self.z < 2:
@@ -85,15 +89,23 @@ class ExperimentResult:
 
 
 class NoSolutionError(RuntimeError):
-    """No solvable window within the shift budget."""
+    """No solvable window within the shift budget.
 
-    def __init__(self, start_window: WeightWindow, shifts_tried: int, seed: int):
+    windows_scanned counts the shifted windows passed to the scan, and
+    ring_radius is the ring of the last one (0 when none was scanned).
+    """
+
+    def __init__(self, start_window: WeightWindow, shifts_tried: int, seed: int,
+                 windows_scanned: int, ring_radius: int):
         super().__init__(
             f"no window with solutions within {shifts_tried} shifts "
-            f"of origin {start_window.origin} (seed {seed})")
+            f"of origin {start_window.origin} (seed {seed}; "
+            f"{windows_scanned} windows scanned, out to ring {ring_radius})")
         self.start_window = start_window
         self.shifts_tried = shifts_tried
         self.seed = seed
+        self.windows_scanned = windows_scanned
+        self.ring_radius = ring_radius
 
 
 def find_solvable_window(start: WeightWindow, config: TrainerConfig
@@ -109,6 +121,7 @@ def find_solvable_window(start: WeightWindow, config: TrainerConfig
     cap = max(4, (1 << 21) // (start.z ** 8))
     schedule = [min(b, cap) for b in _SCAN_RAMP]
     origin = np.asarray(start.origin, dtype=np.int64)
+    scanned = radius = 0
 
     for first_index, rows in iter_displacements(start.w, start.z, batch=schedule):
         if first_index > config.max_window_shifts:
@@ -120,7 +133,10 @@ def find_solvable_window(start: WeightWindow, config: TrainerConfig
             h = int(hits[0])
             cand = replace(start, origin=tuple(int(v) for v in origin + rows[h]))
             return cand, enumerate_solutions(cand), first_index + h
-    raise NoSolutionError(start, config.max_window_shifts, config.seed)
+        scanned += keep
+        radius = int(np.abs(rows[keep - 1]).max()) // start.z
+    raise NoSolutionError(start, config.max_window_shifts, config.seed,
+                          scanned, radius)
 
 
 def sample_vertex(outcome: str, solutions: SolutionSet, window: WeightWindow,

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,6 +90,13 @@ def test_config_validation():
     for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="init_range must be finite and positive"):
             mlp.BackpropConfig(init_range=bad)
+    for field in ("max_epochs", "stagnation_window", "seed"):
+        for bad in (1.5, 2.0, True, np.float64(3.0), "3", None):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                mlp.BackpropConfig(**{field: bad})
+    cfg = mlp.BackpropConfig(max_epochs=np.int64(5), stagnation_window=np.int32(2),
+                             seed=np.uint8(3))
+    assert mlp.backprop_train(cfg).epochs_used <= 5
 
 
 def test_init_weights_deterministic_and_in_range():
@@ -256,6 +264,10 @@ def _bits(x) -> bytes:
     mlp.BackpropConfig(learning_rate=1e-4, seed=500, max_epochs=2000),
     mlp.BackpropConfig(learning_rate=1e-300, seed=500, stagnation_window=50,
                        max_epochs=10000),
+    # at lr >= 2 the weights diverge to inf/NaN and the run stagnates, so the
+    # bytes compared include NaN payloads
+    *(mlp.BackpropConfig(learning_rate=lr, seed=s, max_epochs=5000)
+      for lr in (2.0, 30.0) for s in range(5)),
 ], ids=lambda c: f"lr{c.learning_rate}-seed{c.seed}")
 def test_backprop_matches_the_per_pattern_reference(config):
     res = mlp.backprop_train(config)
@@ -284,3 +296,25 @@ def test_helpers_match_the_per_pattern_reference(weights):
     assert mlp.classification_error(w) == _ref_classification_error(w)
     assert _bits(mlp.mse(w)) == _bits(_ref_mse(w))
     assert mlp.mse_gradient(w).tobytes() == _ref_mse_gradient(w).tobytes()
+
+
+# Special values reach the fused loop's edge cases: the sign of a zero, an
+# infinite weight times a 0.0 input (NaN in some patterns only), NaN outputs
+# in the success test and outputs exactly on the 0.5 threshold.
+_EDGE = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 800.0, -800.0,
+                         1e308, -1e308, math.inf, -math.inf])
+
+
+@given(st.lists(st.one_of(_EDGE, st.floats(-2.0, 2.0)), min_size=9, max_size=9),
+       st.sampled_from([0.5, 2.0, 1e-300]))
+@settings(max_examples=300, deadline=None)
+def test_backprop_from_edge_weights_matches_the_reference(weights, lr):
+    config = mlp.BackpropConfig(learning_rate=lr, max_epochs=20, stagnation_window=3)
+    init = np.array(weights)
+    with mock.patch.object(mlp, "init_weights", lambda _: init.copy()), \
+            np.errstate(all="ignore"):
+        res = mlp.backprop_train(config)
+        outcome, epochs, final_weights, final_mse = _ref_backprop_train(config)
+    assert (res.outcome, res.epochs_used) == (outcome, epochs)
+    assert res.final_weights.tobytes() == final_weights.tobytes()
+    assert _bits(res.final_mse) == _bits(final_mse)

@@ -30,6 +30,13 @@ def test_config_validation():
         trainer.TrainerConfig(max_window_shifts=-1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         trainer.TrainerConfig(seed=-1)
+    for field in ("z", "l", "seed", "max_window_shifts"):
+        for bad in (1.5, 2.5, 3.0, False, np.float64(3.0), "3", None):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                trainer.TrainerConfig(**{field: bad})
+    cfg = trainer.TrainerConfig(z=np.int64(2), l=np.int32(1), seed=np.uint8(3),
+                                max_window_shifts=np.int64(3000))
+    assert trainer.train(cfg).shifts_performed == 2950
 
 
 def test_defaults_match_the_reference_setup():
@@ -77,6 +84,12 @@ def test_no_solution_error_carries_context():
     assert err.shifts_tried == 5
     assert err.seed == 0
     assert err.start_window.origin == (2, 2, -2, -1, 1, 1, -1, -2, 2)
+    # the start is barren, so shifts 1..5 are scanned, all on ring 1
+    assert (err.windows_scanned, err.ring_radius) == (5, 1)
+    assert "5 windows scanned, out to ring 1" in str(err)
+    with pytest.raises(trainer.NoSolutionError) as exc_info:
+        trainer.train(trainer.TrainerConfig(seed=0, max_window_shifts=0))
+    assert (exc_info.value.windows_scanned, exc_info.value.ring_radius) == (0, 0)
 
 
 def test_find_solvable_window_respects_the_shift_cap():
