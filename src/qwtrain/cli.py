@@ -88,7 +88,11 @@ def _resolve(ns, defaults: dict) -> dict:
         value = cfg[key] if flag is None else flag
         kind = type(default)
         if kind is float and type(value) is int:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"{key} must be finite, got an integer too "
+                                 "large for a float") from None
         if type(value) is not kind:
             raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
         if kind is float and not math.isfinite(value):

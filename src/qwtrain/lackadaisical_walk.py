@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ class WalkParams:
             raise ValueError(f"k must satisfy 1 <= k < N, got k={self.k}, N={self.N}")
         if self.l < 1:
             raise ValueError(f"l must be >= 1, got {self.l}")
+        # N(N+l-1) bounds every count the angles and amplitudes take a
+        # float square root of
+        if self.N * (self.N + self.l - 1) > sys.float_info.max:
+            raise ValueError("N(N+l-1) edge states exceed the float range")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ by (z, 0, ..., 0), and distinct indices give disjoint windows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
@@ -140,11 +139,11 @@ def iter_displacements(w: int, z: int, batch=8192) -> Iterator[tuple[int, np.nda
 
     Row i of a yielded array is the displacement for shift_index
     first_shift_index + i. `batch` bounds how many counter positions are
-    decoded per yield; it may be an int or an iterable of ints (a schedule,
-    e.g. small batches first when early hits are likely), the last value
-    repeating forever.
+    decoded per yield; it may be an integer, Python or numpy, or an iterable
+    of ints (a schedule, e.g. small batches first when early hits are
+    likely), the last value repeating forever.
     """
-    if isinstance(batch, int):
+    if isinstance(batch, (int, np.integer)):
         sizes = repeat(batch)
     else:
         schedule = list(batch)
@@ -207,7 +206,3 @@ def from_descriptor(d: dict) -> WeightWindow:
     return WeightWindow(w=int(d["w"]), z=int(d["z"]),
                         origin=tuple(int(v) for v in d["origin"]),
                         delta_p=float(d["delta_p"]))
-
-
-def descriptor_json(window: WeightWindow) -> str:
-    return json.dumps(to_descriptor(window), sort_keys=True)

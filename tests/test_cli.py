@@ -73,6 +73,13 @@ def test_walkc_rejects_k_not_below_n(tmp_path):
     assert e.value.code == 1
 
 
+def test_walkc_rejects_n_beyond_the_float_range(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["walkc", "--n-vertices", "1" + "0" * 400, "--out-dir", str(tmp_path)])
+    assert e.value.code == 1
+    assert "error: N(N+l-1) edge states exceed the float range" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"steps": 5, "init": "symmetric"}))
@@ -104,6 +111,7 @@ def test_config_file_unknown_key(tmp_path):
     ("train", '{"delta_p": "0.5"}', "delta_p must be of type float"),
     ("train", '{"count_noise": false}', "count_noise must be of type float"),
     ("backprop", '{"lr": NaN}', "lr must be finite"),
+    ("train", '{"delta_p": 1' + "0" * 400 + '}', "delta_p must be finite"),
 ])
 def test_config_file_values_are_validated(tmp_path, capsys, subcommand, text, message):
     cfg = tmp_path / "cfg.json"
