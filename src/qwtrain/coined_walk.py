@@ -25,6 +25,8 @@ SQRT2 = math.sqrt(2.0)
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
 
+MAX_DIMS = 8  # the 2^d x 2^d coin then has 65536 entries, at most
+
 
 @dataclass
 class CoinedWalkState1D:
@@ -177,8 +179,13 @@ def step_nd(state: CoinedWalkStateND, coin: np.ndarray) -> CoinedWalkStateND:
 
 
 def walk_nd(dims: int, steps: int, coin: np.ndarray | None = None) -> CoinedWalkStateND:
+    """Walk `steps` steps from the origin; ValueError, before any work, for
+    dims outside 1..MAX_DIMS or negative steps."""
     if dims < 1:
         raise ValueError(f"dims must be at least 1, got {dims}")
+    if dims > MAX_DIMS:
+        raise ValueError(f"dims {dims} asks for a 2^d x 2^d coin above the cap "
+                         f"of dims {MAX_DIMS}")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     if coin is None:

@@ -28,6 +28,8 @@ OUTCOME_LABELS = ("AA", "AB", "BA", "BB")
 
 ROUNDING_MODES = ("floor", "ceiling", "nearest")
 
+MAX_TRACE_STEPS = 10 ** 6  # rows of a probability trace, at most
+
 
 @dataclass(frozen=True)
 class WalkParams:
@@ -148,7 +150,11 @@ def sample_outcome(state: np.ndarray, rng: np.random.Generator) -> str:
 
 
 def probability_trace(params: WalkParams, t_max: int) -> list[tuple[int, float, float, float, float]]:
-    """(t, p_AA, p_AB, p_BA, p_BB) rows for t = 0..t_max."""
+    """(t, p_AA, p_AB, p_BA, p_BB) rows for t = 0..t_max; ValueError, before
+    any work, for a t_max above MAX_TRACE_STEPS."""
+    if t_max > MAX_TRACE_STEPS:
+        raise ValueError(f"a trace of {t_max} steps is above the cap of "
+                         f"{MAX_TRACE_STEPS} steps")
     op = build_operator(angles(params))
     state = initial_state(params)
     rows = [(0, *outcome_probabilities(state))]

@@ -13,9 +13,19 @@ bounds show they hold no solution, and reduces the four pattern sums
 s_p = a*h1 + b*h2 of the rest to one interval, lo = max(s_00, s_11) and
 hi = min(s_01, s_10) (_interval), where an output bias c solves when
 lo - c < 0.5 <= hi - c (_solves). That test is the four-pattern test bit for
-bit. enumerate_solutions lists the kernel's solutions of one window as vertex
-indices; scan_window_counts counts them per window, so a window's count is
-its k.
+bit.
+
+The kernel's bound stage forms the (a row, b row, window) blocks it tests in
+one of two ways. For a list of windows (_list_blocks) each window has its own
+a-side key (weights 0-2 and 6), b-side key (3-5 and 7) and output bias key
+(8); enumerate_solutions lists the solutions of one window as vertex indices,
+and scan_window_counts counts them per window, so a window's count is its k.
+For a product of keys (_product_blocks), such as a block of the trainer's
+ring enumeration, every (a key, b key, c key) triple is a window: the tables
+are built once per key, a block's bounds are the outer sum of the two sides'
+per-key row bounds, broadcast with no per-window gather, and the live blocks
+reach the pair stage in window order, so first_solvable_position stops at the
+first solvable window.
 Two unfactored routes are kept as independent references: a scalar
 per-vertex predicate (evaluate_vertex) and a plain double loop
 (reference_enumerate).
@@ -90,8 +100,8 @@ def reference_enumerate(window: WeightWindow) -> SolutionSet:
 def _hidden(vals: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
     """Hidden-unit table sigmoid(x0*w_j + x1*w_{j+1} - w_{j+2}) in float64.
 
-    vals is (9, z, n) weight values per dimension and window, the window axis
-    last; out is (4, z, z, z, n) scratch. Returns out as (4 patterns, z^3
+    vals is (k, z, n) weight values per dimension and window (or key), the
+    window axis last; out is (4, z, z, z, n) scratch. Returns out as (4 patterns, z^3
     settings, n). Weight j sits on the last setting axis, so the flat setting
     index is c_j + z*c_{j+1} + z^2*c_{j+2}: the vertex index's own digit order.
     """
@@ -108,7 +118,8 @@ def _hidden(vals: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
 
 
 def _weight_values(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
-    """(9, z, n) float64 weight values of each window's dimensions."""
+    """(k, z, n) float64 weight values of n rows of k lattice coordinates:
+    window origins (k = 9) or one side's keys."""
     return delta_p * (origins.T[:, None, :] + np.arange(z)[None, :, None] - z // 2)
 
 
@@ -154,14 +165,95 @@ def _row_bounds(w: np.ndarray, h: np.ndarray) -> np.ndarray:
     return ext.reshape(4, z * z, n)
 
 
-def _solutions(origins: np.ndarray, z: int, delta_p: float):
-    """Yield the solution vertices of many windows, in blocks.
+# Lattice dimensions of the three key kinds: the a side (h1's weights 0-2 and
+# its output weight 6), the b side (h2's weights 3-5 and output weight 7) and
+# the output bias (weight 8).
+KEY_DIMS = ((0, 1, 2, 6), (3, 4, 5, 7), (8,))
 
-    origins is (B, 9) int64. Each yield is (window, a row, b row, offset, c
-    index): equal-length arrays but for the c index, an int. Vertex
+
+def _side(vals: np.ndarray, j: int, o: int):
+    """Tables of one side from (k, z, n) weight values: the hidden table
+    (4, z, z^2, n) of weights j..j+2 (_hidden) grouped by the hidden bias,
+    the output weights vals[o] (z, n) and their row bounds (_row_bounds)."""
+    z, n = vals.shape[1:]
+    h = _hidden(vals, j, np.empty((4, z, z, z, n))).reshape(4, z, z * z, n)
+    return h, vals[o], _row_bounds(vals[o], h)
+
+
+def _list_blocks(a_bounds: np.ndarray, b_bounds: np.ndarray, c: np.ndarray):
+    """Bound stage of a list of windows, one key per side per window: key i
+    of every side is window i. Yields the live (a row, b row, a key, b key,
+    c key) blocks once."""
+    z2, n = a_bounds.shape[1], c.shape[1]
+    lo, hi, tmp = (np.empty((z2, z2, n)) for _ in range(3))
+    _interval(a_bounds[:, :, None], b_bounds[:, None], lo, hi, tmp)
+    ra, rb, w = np.nonzero(_solves(lo, hi, c[:, None, None]).any(axis=0))
+    yield ra, rb, w, w, w
+
+
+def _live_rows(x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Rows of one side's row bounds x (4, rows) that can be in a live block:
+    those whose bound test passes for some c against the other side's
+    extremes over all its rows y (4, rows). Every block of row i has a lo at
+    least max(fl(x_i,00 + min y_00), fl(x_i,11 + min y_11)) and a hi at most
+    the like sum of maxima, since fl(x + y) is monotone, so a row dropped
+    here is in no live block."""
+    lo = np.maximum(x[0] + y[0].min(), x[3] + y[3].min())
+    hi = np.minimum(x[1] + y[1].max(), x[2] + y[2].max())
+    return np.flatnonzero(_solves(lo[:, None], hi[:, None], c.ravel()).any(axis=1))
+
+
+def _product_blocks(a_bounds: np.ndarray, b_bounds: np.ndarray, c: np.ndarray,
+                    positions):
+    """Bound stage of a product of keys: every (a key, b key, c key) triple
+    is a window, at position positions[0][a key] + positions[1][b key] +
+    positions[2][c key].
+
+    A row of a side is an (output weight and hidden bias row, key) pair. The
+    rows that cannot be in a live block go first (_live_rows); the block
+    bounds of the rest are the outer sum of the two sides' row bounds,
+    formed by broadcasting in chunks of about _TABLE_BLOCK elements over the
+    a rows, with no per-window gather. Yields the live (a row, b row, a key,
+    b key, c key) blocks once, in increasing window position."""
+    na, nb, (z, nc) = a_bounds.shape[2], b_bounds.shape[2], c.shape
+    a_all, b_all = a_bounds.reshape(4, -1), b_bounds.reshape(4, -1)
+    ia, ib = _live_rows(a_all, b_all, c), _live_rows(b_all, a_all, c)
+    b = b_all[:, None, ib]
+    step = max(1, _TABLE_BLOCK // max(1, ib.size))
+    bufs = [np.empty(min(step, ia.size) * ib.size) for _ in range(3)]
+    chunks = [(ia[:0],) * 3]  # an empty first chunk, for a block with none live
+    for i in range(0, ia.size, step):
+        a = a_all[:, ia[i:i + step], None]
+        lo, hi, tmp = (buf[:a.shape[1] * ib.size].reshape(a.shape[1], ib.size)
+                       for buf in bufs)
+        _interval(a, b, lo, hi, tmp)
+        live = np.zeros((nc,) + lo.shape, dtype=bool)
+        for kc in range(nc):
+            for ci in range(z):
+                live[kc] |= _solves(lo, hi, c[ci, kc])
+        kc, ja, jb = np.unravel_index(np.flatnonzero(live), live.shape)
+        chunks.append((ia[i + ja], ib[jb], kc))
+    ja, jb, kc = (np.concatenate(col) for col in zip(*chunks))
+    (ra, ka), (rb, kb) = np.divmod(ja, na), np.divmod(jb, nb)
+    pa, pb, pc = positions
+    order = np.argsort(pa[ka] + pb[kb] + pc[kc], kind="stable")
+    yield ra[order], rb[order], ka[order], kb[order], kc[order]
+
+
+def _solutions(a_side, b_side, c: np.ndarray, blocks):
+    """Yield the solution vertices of the live blocks of a bound stage.
+
+    a_side and b_side are _side tables per key and c is (z, nc) output-bias
+    values per key. blocks yields chunks of live (a row, b row, a key, b key,
+    c key) blocks, equal-length arrays; _list_blocks and _product_blocks are
+    the two bound stages, and they differ only in how they form the key
+    triples. Each yield is (live blocks, block, offset, c index): the chunk
+    of live blocks as the bound stage gave it, then equal-length arrays with
+    one entry per solution, the block indexing the chunk. Vertex
     (s1, s2) = divmod(offset, z^2) of block (a row, b row) has index
     s1 + z^2 (ra % z) + z^3 (s2 + z^2 (rb % z)) + z^6 (ra // z) + z^7 (rb // z)
-    + z^8 c index.
+    + z^8 c index, in the window of its key triple. One yield covers all the
+    solutions among the pairs tested since the previous one.
 
     The network factors: h1 depends on weights 0-2 only, h2 on 3-5, and
     y = a*h1 + b*h2 - c. A vertex solves XOR when s_p - c >= 0.5 holds
@@ -172,58 +264,62 @@ def _solutions(origins: np.ndarray, z: int, delta_p: float):
     min(fl(s_01 - c), fl(s_10 - c)) = fl(hi - c), and likewise for the max.
     Finite weights (WeightWindow, scan_window_counts) keep NaN out of it.
 
-    Windows are taken in chunks of about _TABLE_BLOCK hidden-table elements.
     Each side's table is split into rows of z^2 products that share an output
-    weight and a hidden bias (_row_bounds). Each (a row, b row, window) block
-    is bounded before any pair is formed: through _interval its lo is at
-    least the bound's lo and its hi at most the bound's hi, since a rounded
-    sum fl(x + y) is monotone in x and y. A block whose bounds fail _solves
-    for every c of its window holds no solution. The surviving blocks get the
-    pairwise interval in chunks of about _PAIR_BLOCK elements; no c passes
-    where lo >= hi, so only the pairs with lo < hi are kept. Once a table
-    chunk's pair chunks have kept about _SURVIVOR_BLOCK of them, or at its
-    end, one pass over the output biases tests each c on those alone. Keeping
-    a whole table chunk's survivors instead costs megabytes at z=4, where
-    many pairs have lo < hi.
+    weight and a hidden bias (_row_bounds). The bound stage tests each
+    (a row, b row, key triple) block before any pair is formed: through
+    _interval its lo is at least the bound's lo and its hi at most the
+    bound's hi, since a rounded sum fl(x + y) is monotone in x and y. A block
+    whose bounds fail _solves for every c of its window holds no solution.
+    The live blocks get the pairwise interval in chunks of about _PAIR_BLOCK
+    elements; no c passes where lo >= hi, so only the pairs with lo < hi are
+    kept. Once the pair chunks have kept about _SURVIVOR_BLOCK of them, or at
+    the end of a chunk of live blocks, one pass over the output biases tests
+    each c on those alone. Keeping a whole chunk's survivors instead costs
+    megabytes at z=4, where many pairs have lo < hi.
     """
-    n_all, z2, z4 = origins.shape[0], z * z, z ** 4
-    step = max(1, _TABLE_BLOCK // (4 * z4))  # windows per table chunk
+    (h1, a), (h2, b) = a_side[:2], b_side[:2]
+    z = a.shape[0]
+    z2, z4 = z * z, z ** 4
     per = max(1, _PAIR_BLOCK // z4)  # blocks per pair chunk
     lo_buf, hi_buf, tmp_buf = (np.empty(per * z4) for _ in range(3))
     live_buf = np.empty(per * z4, dtype=bool)
-    for i in range(0, n_all, step):
-        vals = _weight_values(origins[i:i + step], z, delta_p)
-        n = vals.shape[2]
-        h1, h2 = (_hidden(vals, j, np.empty((4, z, z, z, n))).reshape(4, z, z2, n)
-                  for j in (0, 3))
-        a, b, c = vals[6], vals[7], vals[8]
-        lo, hi, tmp = (np.empty((z2, z2, n)) for _ in range(3))
-        _interval(_row_bounds(a, h1)[:, :, None], _row_bounds(b, h2)[:, None],
-                  lo, hi, tmp)
-        ra, rb, w = np.nonzero(_solves(lo, hi, c[:, None, None]).any(axis=0))
+    for live_blocks in blocks:
+        ra, rb, ka, kb, kc = live_blocks
         kept, n_kept = [], 0
-        for j in range(0, w.size, per):
-            wj, ra_j, rb_j = w[j:j + per], ra[j:j + per], rb[j:j + per]
-            a_rows = (a[ra_j // z, wj, None, None] * h1[:, ra_j % z, :, wj]).transpose(1, 0, 2)
-            b_rows = (b[rb_j // z, wj, None, None] * h2[:, rb_j % z, :, wj]).transpose(1, 0, 2)
-            lo, hi, tmp, live = (buf[:wj.size * z4].reshape(wj.size, z2, z2)
+        for j in range(0, ra.size, per):
+            s = slice(j, j + per)
+            ra_j, rb_j, ka_j, kb_j = ra[s], rb[s], ka[s], kb[s]
+            a_rows = (a[ra_j // z, ka_j, None, None] * h1[:, ra_j % z, :, ka_j]).transpose(1, 0, 2)
+            b_rows = (b[rb_j // z, kb_j, None, None] * h2[:, rb_j % z, :, kb_j]).transpose(1, 0, 2)
+            lo, hi, tmp, live = (buf[:ra_j.size * z4].reshape(ra_j.size, z2, z2)
                                  for buf in (lo_buf, hi_buf, tmp_buf, live_buf))
             _interval(a_rows[:, :, :, None], b_rows[:, :, None, :], lo, hi, tmp)
             np.less(lo, hi, out=live)
             flat = np.flatnonzero(live)
             kept.append((flat + j * z4, lo.ravel()[flat], hi.ravel()[flat]))
             n_kept += flat.size
-            if n_kept < _SURVIVOR_BLOCK and j + per < w.size:
+            if n_kept < _SURVIVOR_BLOCK and j + per < ra.size:
                 continue
             flat, lo_v, hi_v = (np.concatenate(col) for col in zip(*kept))
             kept, n_kept = [], 0
             blk, off = np.divmod(flat, z4)
-            win = w[blk]
-            for ci in range(z):
-                hit = np.flatnonzero(_solves(lo_v, hi_v, c[ci, win]))
-                if hit.size:
-                    bh = blk[hit]
-                    yield i + win[hit], ra[bh], rb[bh], off[hit], ci
+            ci, hit = np.divmod(np.flatnonzero(_solves(lo_v, hi_v, c[:, kc[blk]])),
+                                flat.size)
+            if hit.size:
+                yield live_blocks, blk[hit], off[hit], ci
+
+
+def _window_solutions(origins: np.ndarray, z: int, delta_p: float):
+    """Yield (window, a row, b row, offset, c index) of many windows (B, 9),
+    as _solutions does, through the list bound stage in chunks of about
+    _TABLE_BLOCK hidden-table elements."""
+    step = max(1, _TABLE_BLOCK // (4 * z ** 4))  # windows per table chunk
+    for i in range(0, origins.shape[0], step):
+        vals = _weight_values(origins[i:i + step], z, delta_p)
+        a_side, b_side, c = _side(vals, 0, 6), _side(vals, 3, 7), vals[8]
+        for (ra, rb, w, _, _), bh, off, ci in _solutions(
+                a_side, b_side, c, _list_blocks(a_side[2], b_side[2], c)):
+            yield i + w[bh], ra[bh], rb[bh], off, ci
 
 
 def enumerate_solutions(window: WeightWindow) -> SolutionSet:
@@ -241,7 +337,7 @@ def enumerate_solutions(window: WeightWindow) -> SolutionSet:
     z = window.z
     z2, z3 = z * z, z ** 3
     parts = [np.empty(0, dtype=np.int64)]
-    for _, ra, rb, off, ci in _solutions(
+    for _, ra, rb, off, ci in _window_solutions(
             np.asarray([window.origin], dtype=np.int64), z, window.delta_p):
         s1, s2 = np.divmod(off, z2)
         parts.append(s1 + z2 * (ra % z) + z3 * (s2 + z2 * (rb % z))
@@ -269,9 +365,47 @@ def scan_window_counts(origins: np.ndarray, z: int, delta_p: float) -> np.ndarra
         require_finite_weights(delta_p, (origins.max(), origins.min()), z)
     origins = origins.astype(np.int64, copy=False)
     counts = np.zeros(origins.shape[0], dtype=np.int64)
-    for win, *_ in _solutions(origins, z, delta_p):
+    for win, *_ in _window_solutions(origins, z, delta_p):
         np.add.at(counts, win, 1)
     return counts
+
+
+def _block_solutions(a_keys: np.ndarray, b_keys: np.ndarray, c_keys: np.ndarray,
+                     positions, z: int, delta_p: float):
+    """Yield the window positions of the solutions of a product block.
+
+    The block's windows are the key triples (i, j, l): a-side coordinates
+    a_keys[i], b-side ones b_keys[j] and output bias c_keys[l] (KEY_DIMS
+    order; a_keys and b_keys are (n, 4) integers, c_keys (n, 1)). Window
+    (i, j, l) sits at position positions[0][i] + positions[1][j] +
+    positions[2][l]. Each yield is an int64 array holding one position per
+    solution; over all yields a window's position appears as often as
+    scan_window_counts counts for its origin, since the shared kernel
+    (_solutions) finds them through the product bound stage
+    (_product_blocks). The tables are built once per key, not once per
+    window.
+    """
+    a_side, b_side = (_side(_weight_values(keys, z, delta_p), 0, 3)
+                      for keys in (a_keys, b_keys))
+    c = _weight_values(c_keys, z, delta_p)[0]
+    pa, pb, pc = positions
+    for (_, _, ka, kb, kc), bh, *_ in _solutions(
+            a_side, b_side, c, _product_blocks(a_side[2], b_side[2], c, positions)):
+        yield pa[ka[bh]] + pb[kb[bh]] + pc[kc[bh]]
+
+
+def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray,
+                            c_keys: np.ndarray, positions, z: int,
+                            delta_p: float) -> int | None:
+    """Position of the first window of a product block that holds a
+    solution, or None; the block is given as for _block_solutions. The
+    product bound stage hands the pair stage the windows in increasing
+    position, so the first yield's smallest position is the first solvable
+    window and the windows after it are not paired. The caller checks that
+    the weights are finite.
+    """
+    first = next(_block_solutions(a_keys, b_keys, c_keys, positions, z, delta_p), None)
+    return None if first is None else int(first.min())
 
 
 def to_json(s: SolutionSet) -> str:

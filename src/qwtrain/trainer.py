@@ -14,10 +14,15 @@ One training run:
 The walk itself never sees vertex identities; it runs entirely in the
 4-dimensional subspace, and the vertex is recovered from the measured class.
 
-For the shift search the trainer counts the solutions of candidate windows
-in batches with the oracle's scan, whose counts equal the enumerator's k, so
-a shift loop over thousands of windows stays cheap; only the first window
-with a nonzero count is enumerated, for its indices.
+The shift search walks the ring enumeration in blocks of counter positions
+whose low digits are free (_ring_blocks). Such a block is a product: the a
+side (weights 0-2 and 6), the b side (3-5 and 7) and the output bias (8) each
+depend on their own digits, so the oracle bounds the block from per-key
+tables and finds its first solvable window (first_solvable_position) with
+the same exact kernel that enumerates windows. The trainer then ranks that
+position among the ring's accepted positions for its shift index, decodes
+that one position's displacement and enumerates that one window, for its
+indices; no other window is decoded.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import count
 
 import numpy as np
 
@@ -33,13 +39,14 @@ from .lackadaisical_walk import (OUTCOME_LABELS, ROUNDING_MODES, WalkParams,
                                  angles, build_operator, evolve, initial_state,
                                  outcome_probabilities, sample_outcome,
                                  steps_to_max)
-from .oracle import SolutionSet, enumerate_solutions, scan_window_counts
+from .oracle import (KEY_DIMS, SolutionSet, enumerate_solutions,
+                     first_solvable_position)
 from .seeding import substream
-from .weight_space import (WeightWindow, index_to_weights, iter_displacements,
-                           random_window, to_descriptor, window_size)
+from .weight_space import (WeightWindow, index_to_weights, random_window,
+                           require_finite_weights, ring_block_keys,
+                           ring_displacement, ring_rank, ring_size,
+                           to_descriptor, window_size)
 from . import mlp
-
-_SCAN_RAMP = (1024, 2048, 4096, 8192, 16384)
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,9 @@ class ExperimentResult:
 class NoSolutionError(RuntimeError):
     """No solvable window within the shift budget.
 
-    windows_scanned counts the shifted windows passed to the scan, and
-    ring_radius is the ring of the last one (0 when none was scanned).
+    windows_scanned counts the shifted windows searched, shifts 1 to
+    shifts_tried, and ring_radius is the ring of the last one (0 when none
+    was searched).
     """
 
     def __init__(self, start_window: WeightWindow, shifts_tried: int, seed: int,
@@ -108,6 +116,54 @@ class NoSolutionError(RuntimeError):
         self.ring_radius = ring_radius
 
 
+_BLOCK_VERTICES = 1 << 23  # vertices in a block of the search, at most
+
+
+def _ring_blocks(w: int, z: int, cap: int):
+    """The blocks that cover the shift enumeration up to shift index cap, in
+    order: (ring r, shift index of the ring's first window, counter position
+    of the block's start, free low digits m).
+
+    The largest block of ring r has the most free digits, at least one, whose
+    b^m windows (b = 2r+1) hold at most _BLOCK_VERTICES vertices. A ring's
+    first block has two digits fewer (one at least), as early hits are
+    common. Later blocks take the largest power of b that divides their
+    start, so they grow by powers of b up to the largest. A block that would
+    run past the cap shrinks, down to the first block's size.
+    """
+    ring_first = 1
+    for r in count(1):
+        base = 2 * r + 1
+        most = 1
+        while most < w and base ** (most + 1) * z ** 8 <= _BLOCK_VERTICES:
+            most += 1
+        first_m = max(1, most - 2)
+        position = 0
+        while position < base ** w:
+            if ring_first + ring_rank(w, r, position) > cap:
+                return
+            m = first_m
+            if position:
+                m = 0
+                while position % base ** (m + 1) == 0:
+                    m += 1
+                m = min(m, most)
+            while m > first_m and ring_first + ring_rank(w, r, position + base ** m) > cap + 1:
+                m -= 1
+            yield r, ring_first, position, m
+            position += base ** m
+        ring_first += ring_size(w, r)
+
+
+def _ring_of(w: int, shift_index: int) -> int:
+    """Ring of a shift index; 0 for the unshifted window."""
+    r, ring_first = 0, 1
+    while shift_index >= ring_first:
+        r += 1
+        ring_first += ring_size(w, r)
+    return r
+
+
 def find_solvable_window(start: WeightWindow, config: TrainerConfig
                          ) -> tuple[WeightWindow, SolutionSet, int]:
     """First window along the shift enumeration with at least one solution."""
@@ -115,28 +171,27 @@ def find_solvable_window(start: WeightWindow, config: TrainerConfig
     if sols.k > 0:
         return start, sols, 0
 
-    # Counting scan batches: ramp up so the common early hit costs little,
-    # capped for larger z, where each window costs more, so a batch scans
-    # few windows past the first hit.
-    cap = max(4, (1 << 21) // (start.z ** 8))
-    schedule = [min(b, cap) for b in _SCAN_RAMP]
+    w, z, cap = start.w, start.z, config.max_window_shifts
     origin = np.asarray(start.origin, dtype=np.int64)
-    scanned = radius = 0
-
-    for first_index, rows in iter_displacements(start.w, start.z, batch=schedule):
-        if first_index > config.max_window_shifts:
+    for r, ring_first, position, m in _ring_blocks(w, z, cap):
+        keys = [ring_block_keys(z, r, position, m, dims) for dims in KEY_DIMS]
+        coords = [origin[list(dims)] + disp for dims, (disp, _) in zip(KEY_DIMS, keys)]
+        require_finite_weights(start.delta_p, [int(f(x)) for x in coords
+                                               for f in (np.max, np.min)], z)
+        q = first_solvable_position(*coords, [offsets for _, offsets in keys], z,
+                                    start.delta_p)
+        if q is None:
+            continue
+        # inner-cube positions are windows of earlier rings, all barren, so
+        # the first solvable one is on ring r
+        first = position + q
+        shift = ring_first + ring_rank(w, r, first)
+        if shift > cap:
             break
-        keep = min(rows.shape[0], config.max_window_shifts - first_index + 1)
-        hits = np.flatnonzero(scan_window_counts(origin + rows[:keep], start.z,
-                                                 start.delta_p))
-        if hits.size:
-            h = int(hits[0])
-            cand = replace(start, origin=tuple(int(v) for v in origin + rows[h]))
-            return cand, enumerate_solutions(cand), first_index + h
-        scanned += keep
-        radius = int(np.abs(rows[keep - 1]).max()) // start.z
-    raise NoSolutionError(start, config.max_window_shifts, config.seed,
-                          scanned, radius)
+        cand = replace(start, origin=tuple(
+            int(v) for v in origin + ring_displacement(w, z, r, first)))
+        return cand, enumerate_solutions(cand), shift
+    raise NoSolutionError(start, cap, config.seed, cap, _ring_of(w, cap))
 
 
 def sample_vertex(outcome: str, solutions: SolutionSet, window: WeightWindow,

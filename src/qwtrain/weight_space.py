@@ -134,6 +134,56 @@ def _ring_block(w: int, z: int, r: int, lo: int, hi: int) -> np.ndarray:
     return _digit_values(r, z)[digits[keep]]
 
 
+def ring_block_keys(z: int, r: int, start: int, m: int, dims):
+    """One side's keys of a ring block: (displacements, offsets).
+
+    The block is counter positions [start, start + b^m) of ring r, b = 2r+1,
+    start a multiple of b^m: its m low digits are free and the others are
+    start's. Over the dimensions dims, each setting of the free digits among
+    them is one key: its row of displacement values on dims (fixed digits
+    from start) and its offset sum(digit_j * b^j) over those free digits.
+    When groups of dims partition range(w), the block is the product of their
+    keys: the position start + the sum of one key offset per group.
+    Positions of the inner cube (every digit below 2r-1) are not skipped.
+    ValueError if start is not a multiple of b^m.
+    """
+    base = 2 * r + 1
+    if start % base ** m:
+        raise ValueError(f"block start {start} is not a multiple of {base}^{m}")
+    free = [j for j in dims if j < m]
+    grid = np.indices((base,) * len(free)).reshape(len(free), base ** len(free))[::-1]
+    digits = np.empty((grid.shape[1], len(dims)), dtype=np.int64)
+    for col, j in enumerate(dims):
+        digits[:, col] = grid[free.index(j)] if j < m else start // base ** j % base
+    offsets = (base ** np.array(free, dtype=np.int64)) @ grid
+    return _digit_values(r, z)[digits], offsets
+
+
+def ring_rank(w: int, r: int, position: int) -> int:
+    """Accepted counter positions of ring r below position (0 <= position <=
+    (2r+1)^w): the rank of an accepted position among them, counted from 0."""
+    base, inner_base = 2 * r + 1, 2 * r - 1
+    if position >= base ** w:
+        return ring_size(w, r)
+    inner = 0  # inner-cube positions below position
+    for j in reversed(range(w)):
+        digit = position // base ** j % base
+        if digit >= inner_base:
+            inner += inner_base ** (j + 1)
+            break
+        inner += digit * inner_base ** j
+    return position - inner
+
+
+def ring_displacement(w: int, z: int, r: int, position: int) -> np.ndarray:
+    """Displacement row of one counter position of ring r; ValueError if it
+    lies in the inner cube."""
+    rows = _ring_block(w, z, r, position, position + 1)
+    if not rows.size:
+        raise ValueError(f"position {position} is not on ring {r}")
+    return rows[0]
+
+
 def iter_displacements(w: int, z: int, batch=8192) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (first_shift_index, displacement rows) in shift order, forever.
 

@@ -142,6 +142,10 @@ def test_int_config_value_for_a_float_key_matches_the_flag(tmp_path):
 @pytest.mark.parametrize("args", [
     ["walknd", "--dims", "0"],
     ["walknd", "--steps", "-1"],
+    ["walknd", "--dims", "9"],
+    ["walknd", "--dims", "1000000000"],
+    # 15,707,963,268 steps: the trace is refused before it is built
+    ["walkc", "--n-vertices", "100000000000000000000", "--solutions", "1"],
     ["train", "--max-shifts", "-5"],
     ["backprop", "--jobs", "-3"],
     ["backprop", "--jobs", "0"],

@@ -142,3 +142,11 @@ def test_export_nd_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x1,x2,probability"
     assert lines[1] == "0,1,1.0"
+
+
+@pytest.mark.parametrize("dims", (cw.MAX_DIMS + 1, 16, 10 ** 9))
+def test_walk_nd_refuses_dims_above_the_cap(monkeypatch, dims):
+    # a 2^16 x 2^16 float64 coin would take 32 GiB: refused before it is built
+    monkeypatch.setattr(cw, "hadamard_coin", None)  # any work would fail
+    with pytest.raises(ValueError, match="coin above the cap of dims 8"):
+        cw.walk_nd(dims, 1)

@@ -141,3 +141,15 @@ def test_export_trace_format(tmp_path):
 
 def test_outcome_labels_order():
     assert lw.OUTCOME_LABELS == ("AA", "AB", "BA", "BB")
+
+
+def test_probability_trace_refuses_steps_above_the_cap(monkeypatch):
+    # N = 10^20 is a valid walk whose peak is 15,707,963,268 steps away: the
+    # trace is refused before the operator is built
+    params = lw.WalkParams(N=10 ** 20, k=1)
+    t_int = lw.steps_to_max(params)[1]
+    assert t_int == 15_707_963_268
+    monkeypatch.setattr(lw, "build_operator", None)  # any work would fail
+    for steps in (t_int, lw.MAX_TRACE_STEPS + 1):
+        with pytest.raises(ValueError, match="above the cap of 1000000 steps"):
+            lw.probability_trace(params, steps)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qwtrain import mlp, oracle
 from qwtrain.weight_space import (WeightWindow, index_to_weights,
                                   iter_displacements, random_window,
-                                  to_descriptor, window_size)
+                                  ring_block_keys, to_descriptor, window_size)
 
 # z=2 window built around a known zero-error weight vector; 6 solutions
 SOLVABLE = WeightWindow(w=9, z=2, origin=(1, 1, 2, -3, -3, 2, -2, -3, -2),
@@ -148,6 +148,66 @@ def test_scan_scratch_stays_bounded(z, delta_p, seeds, rows_per_seed, budget_mib
         tracemalloc.stop()
     assert counts.any()
     assert peak < budget_mib * 2 ** 20
+
+
+def _block(z, delta_p, seed, r, start, m):
+    """A ring block of a seed's start window: the first_solvable_position
+    arguments and the origin of each of its b^m counter positions, inner
+    cube included (digit d moves by 0, +z, -z, +2z, -2z, ...)."""
+    origin = np.asarray(random_window(9, z, delta_p, seed).origin)
+    keys = [ring_block_keys(z, r, start, m, dims) for dims in oracle.KEY_DIMS]
+    args = ([origin[list(dims)] + disp for dims, (disp, _) in zip(oracle.KEY_DIMS, keys)]
+            + [[offsets for _, offsets in keys], z, delta_p])
+    base = 2 * r + 1
+    digits = (start + np.arange(base ** m))[:, None] // base ** np.arange(9) % base
+    return args, origin + (digits + 1) // 2 * z * np.where(digits % 2, 1, -1)
+
+
+@pytest.mark.parametrize("z,delta_p,seed,r,start,m", [
+    (2, 0.5, 7, 1, 0, 9), (2, 0.5, 11, 1, 0, 9), (2, 0.5, 5, 2, 3 * 5 ** 6, 6),
+    (4, 1.0, 1, 1, 0, 2), (4, 1.0, 13, 1, 0, 3), (3, 0.5, 1, 1, 0, 5)],
+    ids=("z2-ring1-seed7", "z2-ring1-seed11", "z2-ring2", "z4-first", "z4-27",
+         "z3-243"))
+def test_block_solutions_count_what_the_scan_counts(z, delta_p, seed, r, start, m):
+    # the product bound stage drops no window the list scan counts, and it
+    # hands the pair stage the windows in position order, so the first
+    # yield's smallest position is the first solvable window
+    args, origins = _block(z, delta_p, seed, r, start, m)
+    yields = list(oracle._block_solutions(*args))
+    counts = np.bincount(np.concatenate([np.empty(0, np.int64), *yields]),
+                         minlength=origins.shape[0])
+    assert np.array_equal(counts, oracle.scan_window_counts(origins, z, delta_p))
+    assert counts.any()
+    assert oracle.first_solvable_position(*args) == np.flatnonzero(counts)[0]
+
+
+def test_block_solutions_of_a_barren_block_yield_nothing():
+    # seed 5's first solvable window is shift 69346, at ring-2 position 51850
+    args, origins = _block(2, 0.5, 5, 2, 0, 6)
+    assert list(oracle._block_solutions(*args)) == []
+    assert oracle.first_solvable_position(*args) is None
+    assert not oracle.scan_window_counts(origins, 2, 0.5).any()
+
+
+@pytest.mark.parametrize("z,delta_p,seed,r,start,m", [
+    (2, 0.5, 11, 1, 0, 9), (2, 0.5, 11, 1, 3 ** 8, 8), (2, 0.5, 5, 2, 3 * 5 ** 6, 6),
+    (4, 1.0, 13, 1, 0, 4), (4, 1.0, 34, 1, 0, 4)],
+    ids=("z2-ring1", "z2-ring1-8", "z2-ring2", "z4-seed13", "z4-seed34"))
+def test_block_scratch_stays_bounded(z, delta_p, seed, r, start, m):
+    # the largest blocks the trainer forms (z=2: 3^8 in ring 1, 5^6 in ring
+    # 2; z=4: 81 windows) and the whole of z=2 ring 1: the bound stage goes
+    # in chunks of about _TABLE_BLOCK elements and the pair stage as in the
+    # list scan, so scratch does not grow with the block. The z=4 blocks of
+    # seeds 13 and 34 hold many pairs with lo < hi
+    args, _ = _block(z, delta_p, seed, r, start, m)
+    tracemalloc.start()
+    try:
+        first = oracle.first_solvable_position(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first is not None
+    assert peak < 2.25 * 2 ** 20
 
 
 def test_empty_window_yields_empty_set():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from qwtrain import oracle, trainer
 from qwtrain.mlp import classification_error
 from qwtrain.seeding import substream
-from qwtrain.weight_space import (WeightWindow, index_to_weights, shift_window,
-                                  window_size)
+from qwtrain.weight_space import (WeightWindow, index_to_weights,
+                                  iter_displacements, shift_window, window_size)
 
 
 def test_config_validation():
@@ -92,6 +93,28 @@ def test_no_solution_error_carries_context():
     assert (exc_info.value.windows_scanned, exc_info.value.ring_radius) == (0, 0)
 
 
+@pytest.mark.parametrize("cap,context", [(19682, (19682, 1)), (19683, (19683, 2))])
+def test_no_solution_error_context_at_the_ring_boundary(cap, context):
+    # delta_p 0.01 leaves seed 0 barren far out; ring 1 holds shifts
+    # 1..19682, so a cap one past it scans the first window of ring 2 and
+    # the search stops inside a block
+    with pytest.raises(trainer.NoSolutionError) as exc_info:
+        trainer.train(trainer.TrainerConfig(seed=0, delta_p=0.01, max_window_shifts=cap))
+    err = exc_info.value
+    assert (err.windows_scanned, err.ring_radius) == context
+    assert err.shifts_tried == cap
+
+
+def test_shift_search_refuses_windows_whose_weights_overflow():
+    # the start's weights are finite, ring 1's reach 1e307 * 19: the search
+    # stops with the window validation's error instead of scanning infinities
+    # (the start's own sums overflow, as the float64 forward pass's do)
+    start = WeightWindow(w=9, z=2, origin=(15,) * 9, delta_p=1e307)
+    with pytest.raises(ValueError, match="window weights must be finite"), \
+            np.errstate(over="ignore"):
+        trainer.find_solvable_window(start, trainer.TrainerConfig(z=2, delta_p=1e307))
+
+
 def test_find_solvable_window_respects_the_shift_cap():
     # seed 3 needs 2950 shifts; a cap just below must fail, just above must not
     start = trainer.random_window(9, 2, 0.5, seed=3)
@@ -133,6 +156,54 @@ def test_find_solvable_window_matches_exhaustive_enumeration(z, seeds, max_shift
         assert (window, shifts) == (expected[0], expected[2])
         assert np.array_equal(sols.indices, expected[1].indices)
         outcomes.add("shifted" if shifts else "start")
+    assert {"shifted", "none"} <= outcomes
+
+
+def _first_solvable_by_scan(start, max_shifts):
+    """Naive reference search: the first nonzero scan_window_counts over the
+    iter_displacements rows, in shift order, up to max_shifts."""
+    sols = oracle.enumerate_solutions(start)
+    if sols.k:
+        return start, sols, 0
+    origin = np.asarray(start.origin, dtype=np.int64)
+    for first, rows in iter_displacements(start.w, start.z, batch=4096):
+        if first > max_shifts:
+            return None
+        rows = rows[:max_shifts - first + 1]
+        hits = np.flatnonzero(oracle.scan_window_counts(origin + rows, start.z,
+                                                        start.delta_p))
+        if hits.size:
+            window = replace(start, origin=tuple(int(v) for v in origin + rows[hits[0]]))
+            return window, oracle.enumerate_solutions(window), first + int(hits[0])
+
+
+@pytest.mark.parametrize("z,delta_p,cases", [
+    # seed 5's first hit is shift 69346, past ring 1's 19,682 windows; seed
+    # 24 has none within 100,000; seed 3's hit (2950) and the caps around it
+    # fall inside one ring-1 block
+    (2, 0.5, ((0, 100000), (1, 100000), (5, 70000), (24, 30000), (3, 2949),
+              (3, 2950), (3, 3000), (102, 19682))),
+    (3, 0.5, ((1, 2000), (3, 2000), (9, 2000), (16, 2000), (0, 2000), (11, 3))),
+    (3, 1.0, ((0, 3000), (8, 1477), (8, 1478), (10, 2000)))],
+    ids=("z2", "z3-0.5", "z3-1.0"))
+def test_find_solvable_window_matches_the_naive_scan(z, delta_p, cases):
+    outcomes = set()
+    for seed, max_shifts in cases:
+        start = trainer.random_window(9, z, delta_p, seed)
+        config = trainer.TrainerConfig(z=z, delta_p=delta_p, seed=seed,
+                                       max_window_shifts=max_shifts)
+        expected = _first_solvable_by_scan(start, max_shifts)
+        if expected is None:
+            with pytest.raises(trainer.NoSolutionError) as exc_info:
+                trainer.find_solvable_window(start, config)
+            assert exc_info.value.windows_scanned == max_shifts
+            outcomes.add("none")
+            continue
+        window, sols, shifts = trainer.find_solvable_window(start, config)
+        assert (window, shifts) == (expected[0], expected[2])
+        assert sols.indices.tobytes() == expected[1].indices.tobytes()
+        assert window == shift_window(start, shifts)
+        outcomes.add("ring 2" if shifts > 19682 else "shifted" if shifts else "start")
     assert {"shifted", "none"} <= outcomes
 
 

@@ -172,3 +172,52 @@ def test_random_window_is_seed_deterministic():
 def test_descriptor_round_trip():
     win = _win(w=3, z=4, origin=(1, -5, 2), delta_p=0.25)
     assert ws.from_descriptor(ws.to_descriptor(win)) == win
+
+
+@pytest.mark.parametrize("groups,r,start,m", [
+    (((0, 3), (1,), (2,)), 1, 0, 4), (((0, 3), (1,), (2,)), 1, 27, 3),
+    (((0, 3), (1,), (2,)), 2, 125, 2), (((0,), (2, 1), (3, 4)), 1, 0, 2),
+    (((0,), (1,), (2,)), 2, 0, 3)])
+def test_ring_block_keys_span_the_counter_block(groups, r, start, m):
+    # keys over a partition of the dims: each triple is one counter position
+    # of the block, with its digits' displacements
+    w, z, base = sum(map(len, groups)), 3, 2 * r + 1
+    keys = [ws.ring_block_keys(z, r, start, m, dims) for dims in groups]
+    seen = {}
+    for triple in itertools.product(*(range(k[1].size) for k in keys)):
+        disp = np.zeros(w, dtype=np.int64)
+        q = 0
+        for (values, offsets), dims, i in zip(keys, groups, triple):
+            disp[list(dims)] = values[i]
+            q += int(offsets[i])
+        seen[start + q] = tuple(int(v) for v in disp)
+    assert sorted(seen) == list(range(start, start + base ** m))
+    with pytest.raises(ValueError, match="not a multiple"):
+        ws.ring_block_keys(z, r, start + 1, m, groups[0])
+    for p, disp in seen.items():
+        digits = [p // base ** j % base for j in range(w)]
+        assert disp == tuple((d + 1) // 2 * z * (1 if d % 2 else -1) for d in digits)
+
+
+@pytest.mark.parametrize("w,r", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_ring_rank_and_displacement_follow_the_enumeration(w, r):
+    # shift index = the ring's first index + rank; displacement = the row
+    # iter_displacements gives that index; inner-cube positions are refused
+    z, base = 2, 2 * r + 1
+    first = 1 + sum(ws.ring_size(w, q) for q in range(1, r))
+    rows = {}
+    for index, batch in ws.iter_displacements(w, z, batch=64):
+        rows.update((index + i, tuple(int(v) for v in row)) for i, row in enumerate(batch))
+        if index > first + ws.ring_size(w, r):
+            break
+    inner = 0
+    for p in range(base ** w):
+        digits = [p // base ** j % base for j in range(w)]
+        if max(digits) < 2 * r - 1:
+            inner += 1
+            with pytest.raises(ValueError, match="not on ring"):
+                ws.ring_displacement(w, z, r, p)
+            continue
+        assert ws.ring_rank(w, r, p) == p - inner
+        assert tuple(int(v) for v in ws.ring_displacement(w, z, r, p)) == rows[first + p - inner]
+    assert ws.ring_rank(w, r, base ** w) == ws.ring_size(w, r)
