@@ -26,6 +26,22 @@ SQRT2 = math.sqrt(2.0)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
 
 MAX_DIMS = 8  # the 2^d x 2^d coin then has 65536 entries, at most
+MAX_WALK_WORK = 10 ** 7  # walk_work of one walk, at most: about a minute
+
+
+def walk_work(dims: int, steps: int) -> int:
+    """A bound on the cost of a walk: steps times the amplitudes a state can
+    hold after them, (steps+1)^d positions times 2^d coin states."""
+    return steps * (steps + 1) ** dims * 2 ** dims
+
+
+def _require_walk_size(dims: int, steps: int) -> None:
+    """ValueError for negative steps or a walk_work above MAX_WALK_WORK."""
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    if walk_work(dims, steps) > MAX_WALK_WORK:
+        raise ValueError(f"{steps} steps in {dims} dimensions are above the cap: "
+                         f"steps x (steps+1)^d x 2^d must be at most {MAX_WALK_WORK}")
 
 
 @dataclass
@@ -73,9 +89,9 @@ def step_1d(state: CoinedWalkState1D) -> CoinedWalkState1D:
 
 
 def walk_1d(steps: int, init: str = "asymmetric") -> CoinedWalkState1D:
-    """Run `steps` steps from the named initial condition."""
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
+    """Run `steps` steps from the named initial condition; ValueError, before
+    any work, for negative steps or a walk_work above MAX_WALK_WORK."""
+    _require_walk_size(1, steps)
     if init == "asymmetric":
         state = init_1d_asymmetric()
     elif init == "symmetric":
@@ -180,14 +196,14 @@ def step_nd(state: CoinedWalkStateND, coin: np.ndarray) -> CoinedWalkStateND:
 
 def walk_nd(dims: int, steps: int, coin: np.ndarray | None = None) -> CoinedWalkStateND:
     """Walk `steps` steps from the origin; ValueError, before any work, for
-    dims outside 1..MAX_DIMS or negative steps."""
+    dims outside 1..MAX_DIMS, negative steps or a walk_work above
+    MAX_WALK_WORK."""
     if dims < 1:
         raise ValueError(f"dims must be at least 1, got {dims}")
     if dims > MAX_DIMS:
         raise ValueError(f"dims {dims} asks for a 2^d x 2^d coin above the cap "
                          f"of dims {MAX_DIMS}")
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
+    _require_walk_size(dims, steps)
     if coin is None:
         coin = hadamard_coin(dims)
     state = init_nd(dims)

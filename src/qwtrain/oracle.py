@@ -25,7 +25,10 @@ ring enumeration, every (a key, b key, c key) triple is a window: the tables
 are built once per key, a block's bounds are the outer sum of the two sides'
 per-key row bounds, broadcast with no per-window gather, and the live blocks
 reach the pair stage in window order, so first_solvable_position stops at the
-first solvable window.
+first solvable window and pairs that window's live blocks alone for its
+solution indices. Both routes turn a solution into a vertex index with one
+formula (_vertex_indices), so the trainer's solution set of a window is the
+one enumerate_solutions gives.
 Two unfactored routes are kept as independent references: a scalar
 per-vertex predicate (evaluate_vertex) and a plain double loop
 (reference_enumerate).
@@ -82,12 +85,15 @@ def reference_enumerate(window: WeightWindow) -> SolutionSet:
     """Deliberately naive double loop over vertices and patterns.
 
     Kept as the independent reference the optimized enumerator is checked
-    against; do not optimize.
+    against; do not optimize. Each vertex's weights are taken as Python
+    floats, so classify runs on plain floats: for the finite weights of a
+    window these are the same IEEE double operations as on numpy scalars,
+    at about half the cost.
     """
     _require_mlp_window(window)
     hits = []
     for idx in range(window_size(window)):
-        weights = index_to_weights(idx, window)
+        weights = index_to_weights(idx, window).tolist()
         wrong = 0
         for (x0, x1), t in zip(mlp.XOR_INPUTS, mlp.XOR_TARGETS):
             if mlp.classify(weights, x0, x1) != int(t):
@@ -249,11 +255,10 @@ def _solutions(a_side, b_side, c: np.ndarray, blocks):
     the two bound stages, and they differ only in how they form the key
     triples. Each yield is (live blocks, block, offset, c index): the chunk
     of live blocks as the bound stage gave it, then equal-length arrays with
-    one entry per solution, the block indexing the chunk. Vertex
-    (s1, s2) = divmod(offset, z^2) of block (a row, b row) has index
-    s1 + z^2 (ra % z) + z^3 (s2 + z^2 (rb % z)) + z^6 (ra // z) + z^7 (rb // z)
-    + z^8 c index, in the window of its key triple. One yield covers all the
-    solutions among the pairs tested since the previous one.
+    one entry per solution, the block indexing the chunk; _vertex_indices
+    turns them into vertex indices, each in the window of its key triple.
+    One yield covers all the solutions among the pairs tested since the
+    previous one.
 
     The network factors: h1 depends on weights 0-2 only, h2 on 3-5, and
     y = a*h1 + b*h2 - c. A vertex solves XOR when s_p - c >= 0.5 holds
@@ -309,6 +314,23 @@ def _solutions(a_side, b_side, c: np.ndarray, blocks):
                 yield live_blocks, blk[hit], off[hit], ci
 
 
+def _vertex_indices(ra: np.ndarray, rb: np.ndarray, off: np.ndarray,
+                    ci: np.ndarray, z: int) -> np.ndarray:
+    """Vertex indices, each in the window of its key triple, of solutions
+    as _solutions gives them: vertex (s1, s2) = divmod(offset, z^2) of block
+    (a row, b row) with output bias c index ci has index
+    s1 + z^2 (ra % z) + z^3 (s2 + z^2 (rb % z)) + z^6 (ra // z) + z^7 (rb // z)
+    + z^8 ci."""
+    z2, z3 = z * z, z ** 3
+    s1, s2 = np.divmod(off, z2)
+    return (s1 + z2 * (ra % z) + z3 * (s2 + z2 * (rb % z))
+            + z ** 6 * (ra // z) + z ** 7 * (rb // z) + z ** 8 * ci)
+
+
+def _sorted_indices(parts) -> np.ndarray:
+    return np.sort(np.concatenate([np.empty(0, dtype=np.int64), *parts]))
+
+
 def _window_solutions(origins: np.ndarray, z: int, delta_p: float):
     """Yield (window, a row, b row, offset, c index) of many windows (B, 9),
     as _solutions does, through the list bound stage in chunks of about
@@ -334,15 +356,10 @@ def enumerate_solutions(window: WeightWindow) -> SolutionSet:
     if n > DEFAULT_VERTEX_CAP:
         raise WindowTooLarge(
             f"window has {n} vertices, above the cap {DEFAULT_VERTEX_CAP}")
-    z = window.z
-    z2, z3 = z * z, z ** 3
-    parts = [np.empty(0, dtype=np.int64)]
-    for _, ra, rb, off, ci in _window_solutions(
-            np.asarray([window.origin], dtype=np.int64), z, window.delta_p):
-        s1, s2 = np.divmod(off, z2)
-        parts.append(s1 + z2 * (ra % z) + z3 * (s2 + z2 * (rb % z))
-                     + z ** 6 * (ra // z) + z ** 7 * (rb // z) + z ** 8 * ci)
-    return SolutionSet(window=window, indices=np.sort(np.concatenate(parts)))
+    parts = [_vertex_indices(ra, rb, off, ci, window.z)
+             for _, ra, rb, off, ci in _window_solutions(
+                 np.asarray([window.origin], dtype=np.int64), window.z, window.delta_p)]
+    return SolutionSet(window=window, indices=_sorted_indices(parts))
 
 
 def scan_window_counts(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
@@ -370,42 +387,43 @@ def scan_window_counts(origins: np.ndarray, z: int, delta_p: float) -> np.ndarra
     return counts
 
 
-def _block_solutions(a_keys: np.ndarray, b_keys: np.ndarray, c_keys: np.ndarray,
-                     positions, z: int, delta_p: float):
-    """Yield the window positions of the solutions of a product block.
+def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray,
+                            c_keys: np.ndarray, positions, z: int, delta_p: float
+                            ) -> tuple[int, np.ndarray] | None:
+    """The first window of a product block that holds a solution, as
+    (position, sorted int64 solution indices in that window), or None.
 
     The block's windows are the key triples (i, j, l): a-side coordinates
     a_keys[i], b-side ones b_keys[j] and output bias c_keys[l] (KEY_DIMS
     order; a_keys and b_keys are (n, 4) integers, c_keys (n, 1)). Window
     (i, j, l) sits at position positions[0][i] + positions[1][j] +
-    positions[2][l]. Each yield is an int64 array holding one position per
-    solution; over all yields a window's position appears as often as
-    scan_window_counts counts for its origin, since the shared kernel
-    (_solutions) finds them through the product bound stage
-    (_product_blocks). The tables are built once per key, not once per
-    window.
+    positions[2][l]. The tables are built once per key, not once per window,
+    and the shared kernel (_solutions) pairs the blocks the product bound
+    stage (_product_blocks) leaves live, in increasing position. So the
+    smallest position among the first yield's solutions is the first
+    solvable window, and the windows after it are not paired. That yield may
+    end inside the window's live blocks, at a survivor flush, so those
+    blocks, a run of the sorted live blocks, are paired again on their own
+    for the whole solution set; the indices are those enumerate_solutions
+    gives for the window. The caller checks that the weights are finite.
     """
     a_side, b_side = (_side(_weight_values(keys, z, delta_p), 0, 3)
                       for keys in (a_keys, b_keys))
     c = _weight_values(c_keys, z, delta_p)[0]
     pa, pb, pc = positions
-    for (_, _, ka, kb, kc), bh, *_ in _solutions(
-            a_side, b_side, c, _product_blocks(a_side[2], b_side[2], c, positions)):
-        yield pa[ka[bh]] + pb[kb[bh]] + pc[kc[bh]]
-
-
-def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray,
-                            c_keys: np.ndarray, positions, z: int,
-                            delta_p: float) -> int | None:
-    """Position of the first window of a product block that holds a
-    solution, or None; the block is given as for _block_solutions. The
-    product bound stage hands the pair stage the windows in increasing
-    position, so the first yield's smallest position is the first solvable
-    window and the windows after it are not paired. The caller checks that
-    the weights are finite.
-    """
-    first = next(_block_solutions(a_keys, b_keys, c_keys, positions, z, delta_p), None)
-    return None if first is None else int(first.min())
+    first = next(_solutions(a_side, b_side, c,
+                            _product_blocks(a_side[2], b_side[2], c, positions)), None)
+    if first is None:
+        return None
+    live_blocks, blk = first[:2]
+    _, _, ka, kb, kc = live_blocks
+    block_position = pa[ka] + pb[kb] + pc[kc]  # sorted by _product_blocks
+    hit = block_position[blk].min()
+    run = slice(*np.searchsorted(block_position, [hit, hit + 1]))
+    parts = [_vertex_indices(ra[b], rb[b], off, ci, z)
+             for (ra, rb, *_), b, off, ci in _solutions(
+                 a_side, b_side, c, [tuple(col[run] for col in live_blocks)])]
+    return int(hit), _sorted_indices(parts)
 
 
 def to_json(s: SolutionSet) -> str:

@@ -3,8 +3,9 @@
 One training run:
 
 1. place a random window near the lattice origin (seeded),
-2. enumerate its solutions; while empty, shift the window along the ring
-   enumeration until a solvable window appears (bounded by max_window_shifts),
+2. search the shift enumeration, the start window first, for the first
+   window that holds a solution (bounded by max_window_shifts), and take
+   its solution set from the same search,
 3. compute the optimal step count from (N, k, l),
 4. evolve the 4-state walk exactly that many steps,
 5. measure; a marked-class outcome (AA or AB) picks a solution vertex
@@ -15,14 +16,15 @@ The walk itself never sees vertex identities; it runs entirely in the
 4-dimensional subspace, and the vertex is recovered from the measured class.
 
 The shift search walks the ring enumeration in blocks of counter positions
-whose low digits are free (_ring_blocks). Such a block is a product: the a
-side (weights 0-2 and 6), the b side (3-5 and 7) and the output bias (8) each
-depend on their own digits, so the oracle bounds the block from per-key
-tables and finds its first solvable window (first_solvable_position) with
-the same exact kernel that enumerates windows. The trainer then ranks that
-position among the ring's accepted positions for its shift index, decodes
-that one position's displacement and enumerates that one window, for its
-indices; no other window is decoded.
+whose low digits are free (_ring_blocks). Ring 1's position 0 is the zero
+displacement, so its first block holds the start window as well. Such a
+block is a product: the a side (weights 0-2 and 6), the b side (3-5 and 7)
+and the output bias (8) each depend on their own digits, so the oracle
+bounds the block from per-key tables and returns its first solvable window
+with that window's solution indices (first_solvable_position), from the same
+exact kernel that enumerates windows. The trainer then ranks that position
+among the ring's accepted positions for its shift index and decodes that one
+position's displacement; no other window is decoded or enumerated.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from .lackadaisical_walk import (OUTCOME_LABELS, ROUNDING_MODES, WalkParams,
                                  angles, build_operator, evolve, initial_state,
                                  outcome_probabilities, sample_outcome,
                                  steps_to_max)
-from .oracle import (KEY_DIMS, SolutionSet, enumerate_solutions,
-                     first_solvable_position)
+from .oracle import KEY_DIMS, SolutionSet, first_solvable_position
 from .seeding import substream
 from .weight_space import (WeightWindow, index_to_weights, random_window,
                            require_finite_weights, ring_block_keys,
@@ -122,7 +123,8 @@ _BLOCK_VERTICES = 1 << 23  # vertices in a block of the search, at most
 def _ring_blocks(w: int, z: int, cap: int):
     """The blocks that cover the shift enumeration up to shift index cap, in
     order: (ring r, shift index of the ring's first window, counter position
-    of the block's start, free low digits m).
+    of the block's start, free low digits m). Ring 1's first block, which
+    holds the start window (shift 0), comes at any cap.
 
     The largest block of ring r has the most free digits, at least one, whose
     b^m windows (b = 2r+1) hold at most _BLOCK_VERTICES vertices. A ring's
@@ -140,7 +142,7 @@ def _ring_blocks(w: int, z: int, cap: int):
         first_m = max(1, most - 2)
         position = 0
         while position < base ** w:
-            if ring_first + ring_rank(w, r, position) > cap:
+            if _shift_index(w, r, ring_first, position) > cap:
                 return
             m = first_m
             if position:
@@ -164,33 +166,58 @@ def _ring_of(w: int, shift_index: int) -> int:
     return r
 
 
+def _shift_index(w: int, r: int, ring_first: int, position: int) -> int:
+    """Shift index of a counter position of ring r, or of the first accepted
+    one after it for an inner-cube position. Ring 1's position 0, the zero
+    displacement, is the start window: shift 0."""
+    if (r, position) == (1, 0):
+        return 0
+    return ring_first + ring_rank(w, r, position)
+
+
+def _block_keys(origin: np.ndarray, z: int, r: int, position: int, m: int):
+    """The ring-r block of b^m counter positions from position as keys of a
+    product block: ([a-side, b-side, output-bias coordinates], their
+    position offsets), the first_solvable_position arguments."""
+    keys = [ring_block_keys(z, r, position, m, dims) for dims in KEY_DIMS]
+    return ([origin[list(dims)] + disp for dims, (disp, _) in zip(KEY_DIMS, keys)],
+            [offsets for _, offsets in keys])
+
+
 def find_solvable_window(start: WeightWindow, config: TrainerConfig
                          ) -> tuple[WeightWindow, SolutionSet, int]:
-    """First window along the shift enumeration with at least one solution."""
-    sols = enumerate_solutions(start)
-    if sols.k > 0:
-        return start, sols, 0
-
-    w, z, cap = start.w, start.z, config.max_window_shifts
+    """First window along the shift enumeration with at least one solution:
+    (window, its solution set, shift index), the start window being shift 0.
+    """
+    w, z, cap, delta_p = start.w, start.z, config.max_window_shifts, start.delta_p
     origin = np.asarray(start.origin, dtype=np.int64)
     for r, ring_first, position, m in _ring_blocks(w, z, cap):
-        keys = [ring_block_keys(z, r, position, m, dims) for dims in KEY_DIMS]
-        coords = [origin[list(dims)] + disp for dims, (disp, _) in zip(KEY_DIMS, keys)]
-        require_finite_weights(start.delta_p, [int(f(x)) for x in coords
-                                               for f in (np.max, np.min)], z)
-        q = first_solvable_position(*coords, [offsets for _, offsets in keys], z,
-                                    start.delta_p)
-        if q is None:
+        coords, offsets = _block_keys(origin, z, r, position, m)
+        try:
+            require_finite_weights(delta_p, [int(f(x)) for x in coords
+                                             for f in (np.max, np.min)], z)
+        except ValueError:
+            if (r, position) != (1, 0):
+                raise
+            # ring 1's weights overflow but the start's do not, and the start
+            # comes first: it is searched alone
+            coords, offsets = _block_keys(origin, z, 1, 0, 0)
+            found = first_solvable_position(*coords, offsets, z, delta_p)
+            if found is None:
+                raise
+            return start, SolutionSet(window=start, indices=found[1]), 0
+        found = first_solvable_position(*coords, offsets, z, delta_p)
+        if found is None:
             continue
-        # inner-cube positions are windows of earlier rings, all barren, so
-        # the first solvable one is on ring r
-        first = position + q
-        shift = ring_first + ring_rank(w, r, first)
+        # inner-cube positions past ring 1's first are windows of earlier
+        # rings, all barren, so the first solvable one is on ring r
+        first = position + found[0]
+        shift = _shift_index(w, r, ring_first, first)
         if shift > cap:
             break
-        cand = replace(start, origin=tuple(
+        window = start if shift == 0 else replace(start, origin=tuple(
             int(v) for v in origin + ring_displacement(w, z, r, first)))
-        return cand, enumerate_solutions(cand), shift
+        return window, SolutionSet(window=window, indices=found[1]), shift
     raise NoSolutionError(start, cap, config.seed, cap, _ring_of(w, cap))
 
 

@@ -144,6 +144,12 @@ def test_int_config_value_for_a_float_key_matches_the_flag(tmp_path):
     ["walknd", "--steps", "-1"],
     ["walknd", "--dims", "9"],
     ["walknd", "--dims", "1000000000"],
+    # walks whose steps x (steps+1)^d x 2^d pass the cap: refused before a step
+    ["walknd", "--steps", "136"],
+    ["walknd", "--dims", "8", "--steps", "3"],
+    ["walknd", "--steps", "1" + "0" * 30],
+    ["walk1d", "--steps", "2236"],
+    ["walk1d", "--steps", "1000000000"],
     # 15,707,963,268 steps: the trace is refused before it is built
     ["walkc", "--n-vertices", "100000000000000000000", "--solutions", "1"],
     ["train", "--max-shifts", "-5"],

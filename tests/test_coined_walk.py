@@ -150,3 +150,22 @@ def test_walk_nd_refuses_dims_above_the_cap(monkeypatch, dims):
     monkeypatch.setattr(cw, "hadamard_coin", None)  # any work would fail
     with pytest.raises(ValueError, match="coin above the cap of dims 8"):
         cw.walk_nd(dims, 1)
+
+
+FIRST_REFUSED_STEPS = {1: 2236, 2: 136, 4: 14, 8: 3}  # by dims
+
+
+def test_the_work_cap_refuses_the_first_step_past_it():
+    for dims, steps in FIRST_REFUSED_STEPS.items():
+        assert cw.walk_work(dims, steps - 1) <= cw.MAX_WALK_WORK < cw.walk_work(dims, steps)
+
+
+@pytest.mark.parametrize("dims,steps", [*FIRST_REFUSED_STEPS.items(), (2, 10 ** 30)])
+def test_walks_refuse_steps_above_the_work_cap(monkeypatch, dims, steps):
+    for name in ("step_1d", "step_nd", "hadamard_coin"):
+        monkeypatch.setattr(cw, name, None)  # any work would fail
+    with pytest.raises(ValueError, match="above the cap"):
+        cw.walk_nd(dims, steps)
+    if dims == 1:
+        with pytest.raises(ValueError, match="above the cap"):
+            cw.walk_1d(steps)

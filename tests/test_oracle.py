@@ -163,6 +163,19 @@ def _block(z, delta_p, seed, r, start, m):
     return args, origin + (digits + 1) // 2 * z * np.where(digits % 2, 1, -1)
 
 
+def _product_solution_positions(a_keys, b_keys, c_keys, positions, z, delta_p):
+    """Window position of every solution of a product block: the shared
+    kernel over the whole of the product bound stage's output."""
+    a_side, b_side = (oracle._side(oracle._weight_values(keys, z, delta_p), 0, 3)
+                      for keys in (a_keys, b_keys))
+    c = oracle._weight_values(c_keys, z, delta_p)[0]
+    pa, pb, pc = positions
+    blocks = oracle._product_blocks(a_side[2], b_side[2], c, positions)
+    return np.concatenate([np.empty(0, np.int64)] + [
+        pa[ka[b]] + pb[kb[b]] + pc[kc[b]]
+        for (_, _, ka, kb, kc), b, *_ in oracle._solutions(a_side, b_side, c, blocks)])
+
+
 @pytest.mark.parametrize("z,delta_p,seed,r,start,m", [
     (2, 0.5, 7, 1, 0, 9), (2, 0.5, 11, 1, 0, 9), (2, 0.5, 5, 2, 3 * 5 ** 6, 6),
     (4, 1.0, 1, 1, 0, 2), (4, 1.0, 13, 1, 0, 3), (3, 0.5, 1, 1, 0, 5)],
@@ -171,20 +184,23 @@ def _block(z, delta_p, seed, r, start, m):
 def test_block_solutions_count_what_the_scan_counts(z, delta_p, seed, r, start, m):
     # the product bound stage drops no window the list scan counts, and it
     # hands the pair stage the windows in position order, so the first
-    # yield's smallest position is the first solvable window
+    # solvable window is the one first_solvable_position returns, with the
+    # solution indices enumerate_solutions gives it
     args, origins = _block(z, delta_p, seed, r, start, m)
-    yields = list(oracle._block_solutions(*args))
-    counts = np.bincount(np.concatenate([np.empty(0, np.int64), *yields]),
-                         minlength=origins.shape[0])
+    counts = np.bincount(_product_solution_positions(*args), minlength=origins.shape[0])
     assert np.array_equal(counts, oracle.scan_window_counts(origins, z, delta_p))
     assert counts.any()
-    assert oracle.first_solvable_position(*args) == np.flatnonzero(counts)[0]
+    first, indices = oracle.first_solvable_position(*args)
+    assert first == np.flatnonzero(counts)[0]
+    window = WeightWindow(w=9, z=z, origin=tuple(int(v) for v in origins[first]),
+                          delta_p=delta_p)
+    assert indices.tobytes() == oracle.enumerate_solutions(window).indices.tobytes()
 
 
 def test_block_solutions_of_a_barren_block_yield_nothing():
     # seed 5's first solvable window is shift 69346, at ring-2 position 51850
     args, origins = _block(2, 0.5, 5, 2, 0, 6)
-    assert list(oracle._block_solutions(*args)) == []
+    assert _product_solution_positions(*args).size == 0
     assert oracle.first_solvable_position(*args) is None
     assert not oracle.scan_window_counts(origins, 2, 0.5).any()
 

@@ -177,16 +177,27 @@ def _first_solvable_by_scan(start, max_shifts):
             return window, oracle.enumerate_solutions(window), first + int(hits[0])
 
 
-@pytest.mark.parametrize("z,delta_p,cases", [
+@pytest.mark.parametrize("z,delta_p,cases,survivor_block", [
     # seed 5's first hit is shift 69346, past ring 1's 19,682 windows; seed
     # 24 has none within 100,000; seed 3's hit (2950) and the caps around it
     # fall inside one ring-1 block
     (2, 0.5, ((0, 100000), (1, 100000), (5, 70000), (24, 30000), (3, 2949),
-              (3, 2950), (3, 3000), (102, 19682))),
-    (3, 0.5, ((1, 2000), (3, 2000), (9, 2000), (16, 2000), (0, 2000), (11, 3))),
-    (3, 1.0, ((0, 3000), (8, 1477), (8, 1478), (10, 2000)))],
-    ids=("z2", "z3-0.5", "z3-1.0"))
-def test_find_solvable_window_matches_the_naive_scan(z, delta_p, cases):
+              (3, 2950), (3, 3000), (102, 19682)), None),
+    (3, 0.5, ((1, 2000), (3, 2000), (9, 2000), (16, 2000), (0, 2000), (11, 3)), None),
+    (3, 1.0, ((0, 3000), (8, 1477), (8, 1478), (10, 2000)), None),
+    # the train-z4 config: seed 1's start solves; seed 12's hit (18) and
+    # seed 17's (263) lie past ring 1's first block of 9 windows; seed 0's
+    # first hit is 2951
+    (4, 1.0, ((1, 100), (12, 100), (17, 300), (0, 50)), None),
+    # with 16 survivors per pass over the output biases, the first pass that
+    # finds seed 6's hit (24, k = 176) ends after 23 of its solutions, inside
+    # the window's live blocks; seed 22's first hit is 28
+    (4, 1.0, ((6, 100), (22, 20)), 16)],
+    ids=("z2", "z3-0.5", "z3-1.0", "z4", "z4-survivor-flush"))
+def test_find_solvable_window_matches_the_naive_scan(monkeypatch, z, delta_p, cases,
+                                                     survivor_block):
+    if survivor_block is not None:
+        monkeypatch.setattr(oracle, "_SURVIVOR_BLOCK", survivor_block)
     outcomes = set()
     for seed, max_shifts in cases:
         start = trainer.random_window(9, z, delta_p, seed)
@@ -205,6 +216,41 @@ def test_find_solvable_window_matches_the_naive_scan(z, delta_p, cases):
         assert window == shift_window(start, shifts)
         outcomes.add("ring 2" if shifts > 19682 else "shifted" if shifts else "start")
     assert {"shifted", "none"} <= outcomes
+
+
+@pytest.mark.parametrize("cap", (0, 1))
+def test_the_start_window_is_searched_at_any_shift_cap(cap):
+    # z=4 seed 1's start solves; z=2 seed 0's is barren, and so is its shift
+    # 1 (its first hit is shift 14134)
+    start = trainer.random_window(9, 4, 1.0, seed=1)
+    window, sols, shifts = trainer.find_solvable_window(start, trainer.TrainerConfig(
+        z=4, delta_p=1.0, seed=1, max_window_shifts=cap))
+    assert (window, shifts) == (start, 0)
+    assert sols.indices.tobytes() == oracle.enumerate_solutions(start).indices.tobytes()
+    assert sols.k == 72
+    barren = trainer.random_window(9, 2, 0.5, seed=0)
+    with pytest.raises(trainer.NoSolutionError) as exc_info:
+        trainer.find_solvable_window(barren, trainer.TrainerConfig(
+            seed=0, max_window_shifts=cap))
+    err = exc_info.value
+    assert (err.shifts_tried, err.windows_scanned, err.ring_radius) == (cap, cap, cap)
+
+
+def test_a_solvable_start_comes_before_an_overflowing_ring():
+    # the start's weights reach 1.7e308, ring 1's 1.9e308, which overflows;
+    # the start solves, so the search returns it rather than refusing ring 1
+    start = WeightWindow(w=9, z=2, origin=(15, 3, 1, 4, 2, 3, 4, -1, 1), delta_p=1e307)
+    config = trainer.TrainerConfig(z=2, delta_p=1e307)
+    with np.errstate(over="ignore"):
+        window, sols, shifts = trainer.find_solvable_window(start, config)
+        expected = oracle.enumerate_solutions(start)
+    assert (window, shifts) == (start, 0)
+    assert sols.indices.tobytes() == expected.indices.tobytes()
+    assert sols.k == 8
+    # one step further out, the barren start's ring is refused as before
+    with pytest.raises(ValueError, match="window weights must be finite"), \
+            np.errstate(over="ignore"):
+        trainer.find_solvable_window(replace(start, origin=(15,) * 9), config)
 
 
 def test_sample_vertex_marked_draws_from_solutions():
