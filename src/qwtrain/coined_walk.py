@@ -26,12 +26,16 @@ SQRT2 = math.sqrt(2.0)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
 
 MAX_DIMS = 8  # the 2^d x 2^d coin then has 65536 entries, at most
-MAX_WALK_WORK = 10 ** 7  # walk_work of one walk, at most: about a minute
+MAX_WALK_WORK = 10 ** 7  # walk_work of one walk, at most
 
 
 def walk_work(dims: int, steps: int) -> int:
-    """A bound on the cost of a walk: steps times the amplitudes a state can
-    hold after them, (steps+1)^d positions times 2^d coin states."""
+    """A proxy for the cost of a walk: steps times the amplitudes a state can
+    hold after them, (steps+1)^d positions times 2^d coin states. It leaves
+    out the 2^d x 2^d coin's cost per position, so one unit costs more time
+    in more dimensions: on a 2-vCPU Xeon the largest walks under
+    MAX_WALK_WORK took 3.8 s at d=1 (2235 steps), 31 s at d=2, 50 s at d=3
+    and 58 s at d=4 (13 steps), the worst case."""
     return steps * (steps + 1) ** dims * 2 ** dims
 
 

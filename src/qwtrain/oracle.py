@@ -74,6 +74,16 @@ def _require_mlp_window(window: WeightWindow) -> None:
             f"oracle needs a {mlp.N_WEIGHTS}-weight window, got w={window.w}")
 
 
+def require_enumerable(window: WeightWindow) -> None:
+    """ValueError for a window the oracle does not take: not a 9-weight
+    window, or (WindowTooLarge) one above DEFAULT_VERTEX_CAP vertices."""
+    _require_mlp_window(window)
+    n = window_size(window)
+    if n > DEFAULT_VERTEX_CAP:
+        raise WindowTooLarge(
+            f"window has {n} vertices, above the cap {DEFAULT_VERTEX_CAP}")
+
+
 def evaluate_vertex(idx: int, window: WeightWindow) -> bool:
     """Does this vertex's weight vector classify XOR perfectly?"""
     _require_mlp_window(window)
@@ -351,11 +361,7 @@ def enumerate_solutions(window: WeightWindow) -> SolutionSet:
     vertex indices. Scratch is the kernel's chunks and the solutions, not the
     window. Refuses windows above DEFAULT_VERTEX_CAP vertices.
     """
-    _require_mlp_window(window)
-    n = window_size(window)
-    if n > DEFAULT_VERTEX_CAP:
-        raise WindowTooLarge(
-            f"window has {n} vertices, above the cap {DEFAULT_VERTEX_CAP}")
+    require_enumerable(window)
     parts = [_vertex_indices(ra, rb, off, ci, window.z)
              for _, ra, rb, off, ci in _window_solutions(
                  np.asarray([window.origin], dtype=np.int64), window.z, window.delta_p)]

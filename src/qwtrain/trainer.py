@@ -41,7 +41,8 @@ from .lackadaisical_walk import (OUTCOME_LABELS, ROUNDING_MODES, WalkParams,
                                  angles, build_operator, evolve, initial_state,
                                  outcome_probabilities, sample_outcome,
                                  steps_to_max)
-from .oracle import KEY_DIMS, SolutionSet, first_solvable_position
+from .oracle import (KEY_DIMS, SolutionSet, first_solvable_position,
+                     require_enumerable)
 from .seeding import substream
 from .weight_space import (WeightWindow, index_to_weights, random_window,
                            require_finite_weights, ring_block_keys,
@@ -188,7 +189,10 @@ def find_solvable_window(start: WeightWindow, config: TrainerConfig
                          ) -> tuple[WeightWindow, SolutionSet, int]:
     """First window along the shift enumeration with at least one solution:
     (window, its solution set, shift index), the start window being shift 0.
+    Every window of the search has the start's size, so a start above the
+    oracle's vertex cap is refused (WindowTooLarge) before any search work.
     """
+    require_enumerable(start)
     w, z, cap, delta_p = start.w, start.z, config.max_window_shifts, start.delta_p
     origin = np.asarray(start.origin, dtype=np.int64)
     for r, ring_first, position, m in _ring_blocks(w, z, cap):

@@ -218,6 +218,13 @@ def test_train_no_solution_is_a_runtime_error(tmp_path, capsys):
     assert "no window with solutions" in capsys.readouterr().err
 
 
+def test_train_above_the_vertex_cap_is_a_runtime_error(tmp_path, capsys):
+    # 11^9 vertices: refused before the window search starts
+    assert run(["train", "--z", "11", "--out-dir", str(tmp_path)]) == 2
+    assert "above the cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_backprop_csv_and_summary(tmp_path, capsys):
     assert run(["backprop", "--runs", "3", "--seed", "500", "--out", "b.csv",
                 "--out-dir", str(tmp_path)]) == 0

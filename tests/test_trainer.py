@@ -236,6 +236,16 @@ def test_the_start_window_is_searched_at_any_shift_cap(cap):
     assert (err.shifts_tried, err.windows_scanned, err.ring_radius) == (cap, cap, cap)
 
 
+def test_a_start_above_the_vertex_cap_is_refused_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched a window above the vertex cap")
+
+    monkeypatch.setattr(trainer, "first_solvable_position", no_search)
+    start = trainer.random_window(9, 11, 0.5, 0)  # 11^9 vertices > 2^30
+    with pytest.raises(oracle.WindowTooLarge, match="above the cap"):
+        trainer.find_solvable_window(start, trainer.TrainerConfig(z=11))
+
+
 def test_a_solvable_start_comes_before_an_overflowing_ring():
     # the start's weights reach 1.7e308, ring 1's 1.9e308, which overflows;
     # the start solves, so the search returns it rather than refusing ring 1
