@@ -39,8 +39,9 @@ from typing import Callable
 from . import __version__, coined_walk, mlp, oracle, reference, trainer
 from .lackadaisical_walk import (ROUNDING_MODES, WalkParams, angles,
                                  build_operator, evolve, export_trace,
-                                 initial_state, outcome_probabilities,
-                                 probability_trace, steps_to_max)
+                                 initial_state, iter_probability_trace,
+                                 outcome_probabilities, probability_trace,
+                                 steps_to_max)
 from .weight_space import WeightWindow, window_size
 
 USAGE_ERROR = 1
@@ -124,10 +125,8 @@ def cmd_walknd(cfg, out_dir):
 def cmd_walkc(cfg, out_dir):
     params = WalkParams(N=cfg["n_vertices"], k=cfg["solutions"], l=cfg["self_loops"])
     t_real, t_int = steps_to_max(params, cfg["rounding"])
-    rows = probability_trace(params, t_int)
     out = os.path.join(out_dir, cfg["out"])
-    export_trace(rows, out)
-    final = rows[-1]
+    final = export_trace(iter_probability_trace(params, t_int), out)
     return [out], (f"walkc: N={params.N} k={params.k} l={params.l}, "
                    f"t_real={t_real:.2f} t_int={t_int}, "
                    f"p_AA({t_int})={final[1]:.4f} p_AB={final[2]:.4f} -> {out}")

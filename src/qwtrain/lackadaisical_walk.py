@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,25 +150,36 @@ def sample_outcome(state: np.ndarray, rng: np.random.Generator) -> str:
     return OUTCOME_LABELS[rng.choice(4, p=p / total)]
 
 
-def probability_trace(params: WalkParams, t_max: int) -> list[tuple[int, float, float, float, float]]:
-    """(t, p_AA, p_AB, p_BA, p_BB) rows for t = 0..t_max; ValueError, before
-    any work, for a t_max above MAX_TRACE_STEPS."""
+def iter_probability_trace(params: WalkParams, t_max: int
+                           ) -> Iterator[tuple[int, float, float, float, float]]:
+    """(t, p_AA, p_AB, p_BA, p_BB) rows for t = 0..t_max, one at a time;
+    ValueError, before any work, for a t_max above MAX_TRACE_STEPS."""
     if t_max > MAX_TRACE_STEPS:
         raise ValueError(f"a trace of {t_max} steps is above the cap of "
                          f"{MAX_TRACE_STEPS} steps")
-    op = build_operator(angles(params))
-    state = initial_state(params)
-    rows = [(0, *outcome_probabilities(state))]
+    return _trace_rows(build_operator(angles(params)), initial_state(params), t_max)
+
+
+def _trace_rows(op: np.ndarray, state: np.ndarray, t_max: int):
+    yield (0, *outcome_probabilities(state))
     for t in range(1, t_max + 1):
         state = op @ state
-        rows.append((t, *outcome_probabilities(state)))
-    return rows
+        yield (t, *outcome_probabilities(state))
 
 
-def export_trace(rows, path) -> None:
-    """CSV `t,p_AA,p_AB,p_BA,p_BB`."""
+def probability_trace(params: WalkParams, t_max: int) -> list[tuple[int, float, float, float, float]]:
+    """The rows of iter_probability_trace as a list."""
+    return list(iter_probability_trace(params, t_max))
+
+
+def export_trace(rows, path):
+    """CSV `t,p_AA,p_AB,p_BA,p_BB` of rows, any iterable of them, written as
+    they come; returns the last row (None for no rows)."""
+    row = None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "p_AA", "p_AB", "p_BA", "p_BB"])
-        for t, paa, pab, pba, pbb in rows:
+        for row in rows:
+            t, paa, pab, pba, pbb = row
             writer.writerow([t, repr(paa), repr(pab), repr(pba), repr(pbb)])
+    return row

@@ -24,11 +24,13 @@ For a product of keys (_product_blocks), such as a block of the trainer's
 ring enumeration, every (a key, b key, c key) triple is a window: the tables
 are built once per key, a block's bounds are the outer sum of the two sides'
 per-key row bounds, broadcast with no per-window gather, and the live blocks
-reach the pair stage in window order, so first_solvable_position stops at the
-first solvable window and pairs that window's live blocks alone for its
-solution indices. Both routes turn a solution into a vertex index with one
-formula (_vertex_indices), so the trainer's solution set of a window is the
-one enumerate_solutions gives.
+reach the pair stage in window order, each window's as one run. The pair
+stage tests the output biases at the end of every run, so
+first_solvable_position stops within one pair chunk of the end of the first
+solvable window's run and takes that window's solution indices from the
+same pass, pairing no live block twice. Both routes turn a solution into a
+vertex index with one formula (_vertex_indices), so the trainer's solution
+set of a window is the one enumerate_solutions gives.
 Two unfactored routes are kept as independent references: a scalar
 per-vertex predicate (evaluate_vertex) and a plain double loop
 (reference_enumerate).
@@ -263,12 +265,13 @@ def _solutions(a_side, b_side, c: np.ndarray, blocks):
     values per key. blocks yields chunks of live (a row, b row, a key, b key,
     c key) blocks, equal-length arrays; _list_blocks and _product_blocks are
     the two bound stages, and they differ only in how they form the key
-    triples. Each yield is (live blocks, block, offset, c index): the chunk
-    of live blocks as the bound stage gave it, then equal-length arrays with
-    one entry per solution, the block indexing the chunk; _vertex_indices
-    turns them into vertex indices, each in the window of its key triple.
-    One yield covers all the solutions among the pairs tested since the
-    previous one.
+    triples. Each yield is (live blocks, done, block, offset, c index): the
+    chunk of live blocks as the bound stage gave it; done, the number of its
+    blocks paired so far; then equal-length arrays with one entry per
+    solution, the block indexing the chunk. _vertex_indices turns them into
+    vertex indices, each in the window of its key triple. One yield covers
+    all the solutions among the pairs tested since the previous one, so the
+    yields so far hold every solution of the chunk's first done blocks.
 
     The network factors: h1 depends on weights 0-2 only, h2 on 3-5, and
     y = a*h1 + b*h2 - c. A vertex solves XOR when s_p - c >= 0.5 holds
@@ -287,10 +290,15 @@ def _solutions(a_side, b_side, c: np.ndarray, blocks):
     whose bounds fail _solves for every c of its window holds no solution.
     The live blocks get the pairwise interval in chunks of about _PAIR_BLOCK
     elements; no c passes where lo >= hi, so only the pairs with lo < hi are
-    kept. Once the pair chunks have kept about _SURVIVOR_BLOCK of them, or at
-    the end of a chunk of live blocks, one pass over the output biases tests
-    each c on those alone. Keeping a whole chunk's survivors instead costs
-    megabytes at z=4, where many pairs have lo < hi.
+    kept. One pass over the output biases tests each c on those alone: once
+    the pair chunks have kept about _SURVIVOR_BLOCK of them, and at the end
+    of each pair chunk in which a window's run ends, a run being the
+    consecutive live blocks of one key triple. The run ends are found once
+    per chunk of live blocks. A single window is one run, so it is tested at
+    the end of its live blocks; a product block's runs are its windows in
+    position order, so its first yield comes within one pair chunk of the
+    end of its first solvable window. Keeping a whole chunk's survivors
+    instead costs megabytes at z=4, where many pairs have lo < hi.
     """
     (h1, a), (h2, b) = a_side[:2], b_side[:2]
     z = a.shape[0]
@@ -300,6 +308,13 @@ def _solutions(a_side, b_side, c: np.ndarray, blocks):
     live_buf = np.empty(per * z4, dtype=bool)
     for live_blocks in blocks:
         ra, rb, ka, kb, kc = live_blocks
+        if not ra.size:
+            continue
+        keys = np.stack((ka, kb, kc))
+        last = np.append(np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)),
+                         ra.size - 1)  # the last live block of each window's run
+        run_ends = np.zeros(-(-ra.size // per), dtype=bool)  # per pair chunk
+        run_ends[last // per] = True
         kept, n_kept = [], 0
         for j in range(0, ra.size, per):
             s = slice(j, j + per)
@@ -313,7 +328,7 @@ def _solutions(a_side, b_side, c: np.ndarray, blocks):
             flat = np.flatnonzero(live)
             kept.append((flat + j * z4, lo.ravel()[flat], hi.ravel()[flat]))
             n_kept += flat.size
-            if n_kept < _SURVIVOR_BLOCK and j + per < ra.size:
+            if n_kept < _SURVIVOR_BLOCK and not run_ends[j // per]:
                 continue
             flat, lo_v, hi_v = (np.concatenate(col) for col in zip(*kept))
             kept, n_kept = [], 0
@@ -321,7 +336,7 @@ def _solutions(a_side, b_side, c: np.ndarray, blocks):
             ci, hit = np.divmod(np.flatnonzero(_solves(lo_v, hi_v, c[:, kc[blk]])),
                                 flat.size)
             if hit.size:
-                yield live_blocks, blk[hit], off[hit], ci
+                yield live_blocks, min(j + per, ra.size), blk[hit], off[hit], ci
 
 
 def _vertex_indices(ra: np.ndarray, rb: np.ndarray, off: np.ndarray,
@@ -349,7 +364,7 @@ def _window_solutions(origins: np.ndarray, z: int, delta_p: float):
     for i in range(0, origins.shape[0], step):
         vals = _weight_values(origins[i:i + step], z, delta_p)
         a_side, b_side, c = _side(vals, 0, 6), _side(vals, 3, 7), vals[8]
-        for (ra, rb, w, _, _), bh, off, ci in _solutions(
+        for (ra, rb, w, _, _), _, bh, off, ci in _solutions(
                 a_side, b_side, c, _list_blocks(a_side[2], b_side[2], c)):
             yield i + w[bh], ra[bh], rb[bh], off, ci
 
@@ -404,31 +419,40 @@ def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray,
     order; a_keys and b_keys are (n, 4) integers, c_keys (n, 1)). Window
     (i, j, l) sits at position positions[0][i] + positions[1][j] +
     positions[2][l]. The tables are built once per key, not once per window,
-    and the shared kernel (_solutions) pairs the blocks the product bound
-    stage (_product_blocks) leaves live, in increasing position. So the
-    smallest position among the first yield's solutions is the first
-    solvable window, and the windows after it are not paired. That yield may
-    end inside the window's live blocks, at a survivor flush, so those
-    blocks, a run of the sorted live blocks, are paired again on their own
-    for the whole solution set; the indices are those enumerate_solutions
-    gives for the window. The caller checks that the weights are finite.
+    both sides' in one call, and the shared kernel (_solutions) pairs the
+    blocks the product bound stage (_product_blocks) leaves live, in
+    increasing position. So the smallest position among the first
+    yield's solutions is the first solvable window, and its solutions in
+    that yield are those of its live blocks among the first done. The
+    kernel tests the output biases where the window's run of live blocks
+    ends, so done usually covers the run; when a survivor flush ended the
+    yield inside it, the kernel pairs the run's remaining blocks alone. No
+    live block is paired twice, and the windows after the first solvable
+    one's pair chunk are not paired. The indices are those
+    enumerate_solutions gives for the window. The caller checks that the
+    weights are finite.
     """
-    a_side, b_side = (_side(_weight_values(keys, z, delta_p), 0, 3)
-                      for keys in (a_keys, b_keys))
+    na = len(a_keys)
+    both = _side(_weight_values(np.concatenate([a_keys, b_keys]), z, delta_p), 0, 3)
+    a_side, b_side = (tuple(t[..., s] for t in both)
+                      for s in (slice(None, na), slice(na, None)))
     c = _weight_values(c_keys, z, delta_p)[0]
     pa, pb, pc = positions
     first = next(_solutions(a_side, b_side, c,
                             _product_blocks(a_side[2], b_side[2], c, positions)), None)
     if first is None:
         return None
-    live_blocks, blk = first[:2]
-    _, _, ka, kb, kc = live_blocks
+    live_blocks, done, blk, off, ci = first
+    ra, rb, ka, kb, kc = live_blocks
     block_position = pa[ka] + pb[kb] + pc[kc]  # sorted by _product_blocks
     hit = block_position[blk].min()
-    run = slice(*np.searchsorted(block_position, [hit, hit + 1]))
-    parts = [_vertex_indices(ra[b], rb[b], off, ci, z)
-             for (ra, rb, *_), b, off, ci in _solutions(
-                 a_side, b_side, c, [tuple(col[run] for col in live_blocks)])]
+    mine = block_position[blk] == hit
+    parts = [_vertex_indices(ra[blk[mine]], rb[blk[mine]], off[mine], ci[mine], z)]
+    # the run's blocks past done, if a survivor flush ended the pass inside it
+    stop = np.searchsorted(block_position, hit, side="right")
+    parts += [_vertex_indices(ra_t[b], rb_t[b], off_t, ci_t, z)
+              for (ra_t, rb_t, *_), _, b, off_t, ci_t in _solutions(
+                  a_side, b_side, c, [tuple(col[done:stop] for col in live_blocks)])]
     return int(hit), _sorted_indices(parts)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -64,6 +65,22 @@ def test_walkc_trace(tmp_path):
     assert lines[0] == "t,p_AA,p_AB,p_BA,p_BB"
     # ceiling rounding of pi -> rows 0..4
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+
+
+def test_walkc_streams_its_trace(tmp_path, capsys):
+    # N = 1.6e8, k = 1 peaks at 19,870 steps; a list of the rows would hold
+    # about 4 MiB, the rows written as they come about 0.2 MiB
+    tracemalloc.start()
+    try:
+        assert run(["walkc", "--n-vertices", "160000000", "--solutions", "1",
+                    "--out", "c.csv", "--out-dir", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    last = (tmp_path / "c.csv").read_text().splitlines()[-1].split(",")
+    assert last[0] == "19870"
+    assert f"p_AA(19870)={float(last[1]):.4f} p_AB={float(last[2]):.4f}" in capsys.readouterr().out
 
 
 def test_walkc_rejects_k_not_below_n(tmp_path):

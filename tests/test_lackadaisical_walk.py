@@ -133,10 +133,12 @@ def test_probability_trace_rows():
 
 def test_export_trace_format(tmp_path):
     path = tmp_path / "trace.csv"
-    lw.export_trace([(0, 0.25, 0.25, 0.25, 0.25)], path)
+    last = lw.export_trace(iter([(0, 0.25, 0.25, 0.25, 0.25), (1, 0.5, 0.5, 0.0, 0.0)]), path)
+    assert last == (1, 0.5, 0.5, 0.0, 0.0)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,p_AA,p_AB,p_BA,p_BB"
-    assert lines[1] == "0,0.25,0.25,0.25,0.25"
+    assert lines[1:] == ["0,0.25,0.25,0.25,0.25", "1,0.5,0.5,0.0,0.0"]
+    assert lw.export_trace([], path) is None
 
 
 def test_outcome_labels_order():
@@ -151,5 +153,6 @@ def test_probability_trace_refuses_steps_above_the_cap(monkeypatch):
     assert t_int == 15_707_963_268
     monkeypatch.setattr(lw, "build_operator", None)  # any work would fail
     for steps in (t_int, lw.MAX_TRACE_STEPS + 1):
-        with pytest.raises(ValueError, match="above the cap of 1000000 steps"):
-            lw.probability_trace(params, steps)
+        for trace in (lw.probability_trace, lw.iter_probability_trace):
+            with pytest.raises(ValueError, match="above the cap of 1000000 steps"):
+                trace(params, steps)

@@ -163,17 +163,22 @@ def _block(z, delta_p, seed, r, start, m):
     return args, origin + (digits + 1) // 2 * z * np.where(digits % 2, 1, -1)
 
 
-def _product_solution_positions(a_keys, b_keys, c_keys, positions, z, delta_p):
-    """Window position of every solution of a product block: the shared
-    kernel over the whole of the product bound stage's output."""
+def _product_pass(a_keys, b_keys, c_keys, positions, z, delta_p):
+    """The shared kernel over the whole of a product block's live blocks:
+    the window position of each live block, and the kernel's yields."""
     a_side, b_side = (oracle._side(oracle._weight_values(keys, z, delta_p), 0, 3)
                       for keys in (a_keys, b_keys))
     c = oracle._weight_values(c_keys, z, delta_p)[0]
     pa, pb, pc = positions
-    blocks = oracle._product_blocks(a_side[2], b_side[2], c, positions)
-    return np.concatenate([np.empty(0, np.int64)] + [
-        pa[ka[b]] + pb[kb[b]] + pc[kc[b]]
-        for (_, _, ka, kb, kc), b, *_ in oracle._solutions(a_side, b_side, c, blocks)])
+    blocks = list(oracle._product_blocks(a_side[2], b_side[2], c, positions))
+    [(_, _, ka, kb, kc)] = blocks
+    return pa[ka] + pb[kb] + pc[kc], oracle._solutions(a_side, b_side, c, blocks)
+
+
+def _product_solution_positions(*args):
+    """Window position of every solution of a product block."""
+    position, yields = _product_pass(*args)
+    return np.concatenate([np.empty(0, np.int64)] + [position[b] for _, _, b, *_ in yields])
 
 
 @pytest.mark.parametrize("z,delta_p,seed,r,start,m", [
@@ -224,6 +229,42 @@ def test_block_scratch_stays_bounded(z, delta_p, seed, r, start, m):
         tracemalloc.stop()
     assert first is not None
     assert peak < 2.25 * 2 ** 20
+
+
+@pytest.mark.parametrize("survivor_block", (None, 16))
+def test_the_search_pairs_no_live_block_twice(monkeypatch, survivor_block):
+    # z=4 first blocks (9 windows) of seeds that hit at position 0-2. The
+    # search pass flushes its survivors in the pair chunk where the hit
+    # window's run of live blocks ends, and then pairs only the run's blocks
+    # past the pass: no more blocks than the run's end, rounded up to a pair
+    # chunk, are paired. With 16 survivors per flush, the pass of seeds 11,
+    # 13 and 23 ends inside the run, and its tail is paired on its own
+    if survivor_block is not None:
+        monkeypatch.setattr(oracle, "_SURVIVOR_BLOCK", survivor_block)
+    real, paired = oracle._interval, []
+
+    def counting(a, b, lo, hi, tmp):
+        if lo.ndim == 3:  # the pair stage: (blocks, z^2, z^2)
+            paired.append(lo.shape[0])
+        real(a, b, lo, hi, tmp)
+
+    monkeypatch.setattr(oracle, "_interval", counting)
+    per = oracle._PAIR_BLOCK // 4 ** 4
+    tails = set()
+    for seed in (1, 2, 9, 11, 13, 14, 23):
+        args, origins = _block(4, 1.0, seed, 1, 0, 2)
+        position, yields = _product_pass(*args)
+        done = next(yields)[1]
+        paired.clear()
+        hit, indices = oracle.first_solvable_position(*args)
+        run_end = np.searchsorted(position, hit, side="right")
+        assert hit <= 2
+        assert sum(paired) <= -(-run_end // per) * per
+        tails.add(bool(done < run_end))
+        window = WeightWindow(w=9, z=4, origin=tuple(int(v) for v in origins[hit]),
+                              delta_p=1.0)
+        assert indices.tobytes() == oracle.enumerate_solutions(window).indices.tobytes()
+    assert tails == ({False} if survivor_block is None else {False, True})
 
 
 def test_empty_window_yields_empty_set():
@@ -281,13 +322,21 @@ FLOAT32_MISS = (-2, 2, 6, 1, -2, -5, -3, -3, -2)
 
 
 @pytest.mark.parametrize("z,rows_per_seed", [(2, 1024), (3, 128), (4, 16)])
-@pytest.mark.parametrize("delta_p", (0.5, 1.0, 1.3))
-def test_scan_counts_match_direct_enumeration_on_ring_batches(z, rows_per_seed, delta_p):
-    # the bound test drops most windows; the solvable ones must survive it
+@pytest.mark.parametrize("delta_p,pair_blocks", [
+    *(pytest.param(d, None, id=str(d)) for d in (0.5, 1.0, 1.3)),
+    *(pytest.param(d, 3, id=f"{d}-pair3") for d in (0.5, 1.0, 1.3))])
+def test_scan_counts_match_direct_enumeration_on_ring_batches(monkeypatch, z, rows_per_seed,
+                                                              delta_p, pair_blocks):
+    # the bound test drops most windows; the solvable ones must survive it.
+    # With 3 live blocks per pair chunk, chunks straddle the ends of the
+    # windows' runs, where the pair stage flushes its survivors
     origins = np.vstack([_ring_batches(z, delta_p, range(4), rows_per_seed),
                          FLOAT32_MISS])
+    exact = _exact_counts(origins, z, delta_p)
+    if pair_blocks is not None:
+        monkeypatch.setattr(oracle, "_PAIR_BLOCK", pair_blocks * z ** 4)
     counts = oracle.scan_window_counts(origins, z, delta_p)
-    assert np.array_equal(counts, _exact_counts(origins, z, delta_p))
+    assert np.array_equal(counts, exact)
     assert np.count_nonzero(counts) >= 2
 
 
