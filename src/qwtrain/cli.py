@@ -36,13 +36,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
-from . import __version__, coined_walk, mlp, oracle, reference, trainer
-from .lackadaisical_walk import (ROUNDING_MODES, WalkParams, angles,
-                                 build_operator, evolve, export_trace,
-                                 initial_state, iter_probability_trace,
-                                 outcome_probabilities, probability_trace,
-                                 steps_to_max)
-from .weight_space import WeightWindow, window_size
+from . import __version__, coined_walk, criteria, mlp, oracle, trainer
+from .lackadaisical_walk import (ROUNDING_MODES, WalkParams, export_trace,
+                                 iter_probability_trace, steps_to_max)
+from .weight_space import window_size
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -223,204 +220,28 @@ def cmd_backprop(cfg, out_dir):
 
 # ---------------------------------------------------------------- reproduce
 
-def _status(ok: bool) -> str:
-    return "pass" if ok else "FAIL"
-
-
-def _report_steps_section(lines, outputs, out_dir):
-    lines.append("## Optimal step counts\n")
-    lines.append("| N | k | computed t | reference t | simulated t (ceiling) | status |")
-    lines.append("|---|---|-----------|-------------|------------------------|--------|")
-    rows = []
-    for ref in reference.STEPS:
-        t_real, t_int = steps_to_max(WalkParams(N=ref.N, k=ref.k, l=1), "ceiling")
-        status = _status(abs(t_real - ref.t_real) <= ref.tol and t_int == ref.t_int)
-        if ref.note and status == "pass":
-            status = "pass (known discrepancy, see note)"
-        lines.append(f"| {ref.N} | {ref.k} | {t_real:.2f} | {ref.t_real} | {t_int} | {status} |")
-        rows.append((ref.N, ref.k, t_real, t_int, ref.t_real, ref.t_int, status))
-    lines.append("")
-    lines.extend(f"Note: {ref.note}\n" for ref in reference.STEPS if ref.note)
-    path = os.path.join(out_dir, "steps_table.csv")
-    with open(path, "w") as fh:
-        fh.write("N,k,t_computed,t_int,t_reference,t_simulated_reference,status\n")
-        for r in rows:
-            fh.write(f"{r[0]},{r[1]},{r[2]:.4f},{r[3]},{r[4]},{r[5]},{r[6]}\n")
-    outputs.append(path)
-
-
-def _report_probability_section(lines, outputs, out_dir):
-    lines.append("## Final-state probabilities\n")
-    lines.append("| N | k | t | p_AA % | reference p_AA % | status |")
-    lines.append("|---|---|---|--------|------------------|--------|")
-    csv_rows = []
-    for ref in reference.PROBABILITIES:
-        params = WalkParams(N=ref.N, k=ref.k, l=1)
-        state = evolve(initial_state(params), build_operator(angles(params)), ref.steps)
-        p = outcome_probabilities(state)
-        status = _status(ref.passes(p))
-        lines.append(f"| {ref.N} | {ref.k} | {ref.steps} | {100 * p[0]:.2f} | "
-                     f"{100 * ref.p_aa:.2f} | {status} |")
-        csv_rows.append((ref.N, ref.k, ref.steps) + tuple(float(x) for x in p) + (status,))
-    lines.append("")
-    path = os.path.join(out_dir, "probabilities_table.csv")
-    with open(path, "w") as fh:
-        fh.write("N,k,t,p_AA,p_AB,p_BA,p_BB,status\n")
-        for r in csv_rows:
-            fh.write(f"{r[0]},{r[1]},{r[2]},{r[3]!r},{r[4]!r},{r[5]!r},{r[6]!r},{r[7]}\n")
-    outputs.append(path)
-
-
-def _report_toy_section(lines, outputs, out_dir):
-    lines.append("## Toy walk (N=8, k=2, l=1)\n")
-    params = WalkParams(N=8, k=2, l=1)
-    t_real, t_int = steps_to_max(params, "floor")  # pi -> 3 steps for the toy
-    rows = probability_trace(params, t_int)
-    p_aa = rows[-1][1]
-    lines.append(f"t_real = {t_real:.4f}, floor rounding, t = {t_int}; "
-                 f"p_AA({t_int}) = {p_aa:.12f} "
-                 f"(reference: 1.0) -> {_status(abs(p_aa - 1.0) < 1e-9)}\n")
-    path = os.path.join(out_dir, "toy_trace.csv")
-    export_trace(rows, path)
-    outputs.append(path)
-
-
-def _report_walk1d_section(lines, outputs, out_dir):
-    lines.append("## One-dimensional walk after 100 steps\n")
-    asym = coined_walk.distribution_1d(coined_walk.walk_1d(100, "asymmetric"))
-    sym = coined_walk.distribution_1d(coined_walk.walk_1d(100, "symmetric"))
-    p_asym = os.path.join(out_dir, "walk1d_asymmetric.csv")
-    p_sym = os.path.join(out_dir, "walk1d_symmetric.csv")
-    coined_walk.export_distribution_1d(asym, p_asym)
-    coined_walk.export_distribution_1d(sym, p_sym)
-    outputs.extend([p_asym, p_sym])
-
-    mirror = max(abs(sym[n] - sym[-n]) for n in sym)
-    peak = max(sym, key=sym.get)
-    quantum_origin = asym.get(0, 0.0)
-    classical_origin = coined_walk.classical_walk_probability(100, 0)
-    checks = [
-        ("symmetric init gives a mirror-symmetric distribution",
-         mirror == 0.0, f"max asymmetry {mirror}"),
-        ("symmetric peaks lie in |n| in [60, 80]",
-         60 <= abs(peak) <= 80, f"peak at n={peak}"),
-        ("quantum origin probability below the classical envelope",
-         quantum_origin < classical_origin,
-         f"{quantum_origin:.6f} < {classical_origin:.6f}"),
-    ]
-    for name, ok, detail in checks:
-        lines.append(f"- {name}: {detail} -> {_status(ok)}")
-    lines.append("")
-
-
-def _report_backprop_section(lines, outputs, out_dir, seed):
-    lines.append("## Backprop baseline\n")
-    runs = []
-    for lr, n_runs in ((reference.BACKPROP_FAST_LR, reference.BACKPROP_FAST_RUNS),
-                       (reference.BACKPROP_SLOW_LR, reference.BACKPROP_SLOW_RUNS)):
-        rows = [_one_backprop(mlp.BackpropConfig(learning_rate=lr, seed=seed + i))
-                for i in range(n_runs)]
-        path = os.path.join(out_dir, f"backprop_lr_{lr}.csv")
-        mlp.export_train_results(rows, path)
-        outputs.append(path)
-        results = [r for _, _, r in rows]
-        lines.append(f"- lr={lr}: {backprop_summary(results)}")
-        runs.append(results)
-    fast, slow = runs
-    successes = [r.epochs_used for r in fast if r.outcome == "success"]
-    mean_success = statistics.fmean(successes)
-    mean_all = statistics.fmean(r.epochs_used for r in fast)
-    limit_hits = sum(1 for r in slow if r.outcome == "epoch_limit")
-    mean_slow = statistics.fmean(r.epochs_used for r in slow)
-    max_mean = reference.BACKPROP_MAX_MEAN_EPOCHS
-    checks = [
-        (f"lr={reference.BACKPROP_FAST_LR} succeeds in at least "
-         f"{reference.BACKPROP_MIN_SUCCESSES} runs",
-         len(successes) >= reference.BACKPROP_MIN_SUCCESSES,
-         f"{len(successes)} successful"),
-        (f"lr={reference.BACKPROP_FAST_LR} mean epochs below {max_mean}",
-         mean_success < max_mean and mean_all < max_mean,
-         f"{mean_success:.2f} over successes, {mean_all:.2f} over all runs"),
-        (f"lr={reference.BACKPROP_SLOW_LR} is orders of magnitude slower",
-         limit_hits > 0 or mean_slow >= reference.BACKPROP_SLOWDOWN * mean_all,
-         f"{limit_hits} epoch-limit hits, mean {mean_slow:.2f} epochs"),
-    ]
-    for name, ok, detail in checks:
-        lines.append(f"- {name}: {detail} -> {_status(ok)}")
-    lines.append("")
-
-
-def _report_train_section(lines, outputs, out_dir, config, runs):
-    lines.append("## End-to-end weight search (z=2)\n")
-    results = []
-    failures = 0
-    for i in range(runs):
-        try:
-            results.append(trainer.train(replace(config, seed=config.seed + i)))
-        except trainer.NoSolutionError:
-            failures += 1
-    steps_csv = os.path.join(out_dir, "train_steps.csv")
-    probs_csv = os.path.join(out_dir, "train_probabilities.csv")
-    trainer.export_steps_csv(results, steps_csv)
-    trainer.export_probabilities_csv(results, probs_csv)
-    outputs.extend([steps_csv, probs_csv])
-    solved = [r for r in results if r.outcome in ("AA", "AB")]
-    zero_err = all(r.classification_error == 0 for r in solved)
-    lines.append(f"- {len(results)} runs, {failures} without a solvable window, "
-                 f"{len(solved)} measured a marked outcome")
-    lines.append(f"- every marked outcome extracted zero-error weights: "
-                 f"-> {_status(zero_err)}")
-    ks = sorted(set(r.k for r in results))
-    lines.append(f"- window solution counts seen: {ks}")
-    lines.append("")
-
-
-def _report_large_window_section(lines, outputs, out_dir):
-    lines.append("## Large window (z=8, N=134217728)\n")
-    window = WeightWindow(w=9, z=8, origin=(0,) * 9, delta_p=0.5)
-    sols = oracle.enumerate_solutions(window)
-    k, n = sols.k, window_size(window)
-    path = os.path.join(out_dir, "solutions_z8.bin")
-    oracle.write_binary(sols, path)
-    outputs.append(path)
-    lines.append(f"- enumerated {n} vertices, k = {k} solutions "
-                 f"(reference {reference.Z8_ORIGIN_K} for this window; the reference "
-                 f"run reported 80295 for its own) -> {_status(k == reference.Z8_ORIGIN_K)}")
-    if k >= 1:
-        params = WalkParams(N=n, k=k, l=1)
-        t_real, t_int = steps_to_max(params, "ceiling")
-        state = evolve(initial_state(params), build_operator(angles(params)), t_int)
-        p = outcome_probabilities(state)
-        lines.append(f"- walk with t = {t_int}: p_AA + p_AB = {p[0] + p[1]:.6f} "
-                     f"-> {_status(p[0] + p[1] >= reference.Z8_MARKED_MIN)}")
-    lines.append("")
-
-
 def cmd_reproduce(cfg, out_dir):
-    if cfg["train_runs"] < 0:
-        raise ValueError("train_runs must be non-negative")
-    train_config = trainer.TrainerConfig(seed=cfg["seed"],
-                                         max_window_shifts=cfg["max_shifts"])
     outputs: list[str] = []
-    lines = ["# Reproduction report",
-             "",
-             "Computed values versus reference values; tolerances per row.",
-             ""]
-    _report_toy_section(lines, outputs, out_dir)
-    _report_steps_section(lines, outputs, out_dir)
-    _report_probability_section(lines, outputs, out_dir)
-    _report_walk1d_section(lines, outputs, out_dir)
-    _report_backprop_section(lines, outputs, out_dir, cfg["seed"])
-    _report_train_section(lines, outputs, out_dir, train_config, cfg["train_runs"])
-    _report_large_window_section(lines, outputs, out_dir)
-
-    report = os.path.join(out_dir, "report.md")
-    with open(report, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-    outputs.append(report)
-    n_fail = sum("FAIL" in line for line in lines)
-    return outputs, f"reproduce: report at {report}; {n_fail} failing rows"
+    lines = ["# Reproduction report", "",
+             "Computed values versus reference values; each check states its tolerance.", ""]
+    records, failing = [], 0
+    for run in criteria.CRITERIA:
+        c = run()
+        lines.append(f"## Criterion {c.number}: {c.title} ({c.wall_s:.3g} s)\n")
+        lines.extend(f"- {ch.name}: {ch.detail} -> {'pass' if ch.ok else 'FAIL'}"
+                     for ch in c.checks)
+        lines.append("")
+        failing += sum(not ch.ok for ch in c.checks)
+        for name, write in c.files.items():
+            outputs.append(os.path.join(out_dir, name))
+            write(outputs[-1])
+        records.append(c.to_json())
+    for name, text in (("criteria.json", json.dumps(records, indent=2) + "\n"),
+                       ("report.md", "\n".join(lines) + "\n")):
+        outputs.append(os.path.join(out_dir, name))
+        with open(outputs[-1], "w") as fh:
+            fh.write(text)
+    return outputs, f"reproduce: report at {outputs[-1]}; {failing} failing checks"
 
 
 # ---------------------------------------------------------------- harness
@@ -450,8 +271,8 @@ SUBCOMMANDS = (
     Subcommand("backprop", "backpropagation baseline runs CSV",
                {"lr": 0.5, "runs": 100, "seed": 0, "out": "backprop.csv", "jobs": 1},
                cmd_backprop),
-    Subcommand("reproduce", "regenerate the reference tables and figures",
-               {"seed": 500, "max_shifts": 100000, "train_runs": 10}, cmd_reproduce,
+    Subcommand("reproduce", "compute and judge acceptance criteria 1-5, 7 and 9",
+               {}, cmd_reproduce,
                manifest=lambda cfg: "reproduce.manifest.json"),
 )
 

@@ -12,8 +12,15 @@ builds the hidden-unit tables (_hidden), skips blocks of vertices whose
 bounds show they hold no solution, and reduces the four pattern sums
 s_p = a*h1 + b*h2 of the rest to one interval, lo = max(s_00, s_11) and
 hi = min(s_01, s_10) (_interval), where an output bias c solves when
-lo - c < 0.5 <= hi - c (_solves). That test is the four-pattern test bit for
-bit.
+lo - c < 0.5 <= hi - c (_solves). On _hidden's own values that test is the
+four-pattern test bit for bit, but those values are not mlp.sigmoid's:
+_hidden takes 1/(1 + np.exp(-x)) at every x, where mlp.sigmoid takes
+exp(x)/(1 + exp(x)) below 0, with math.exp. So on a vertex whose outputs sit
+on the 0.5 edge the kernel can disagree with mlp.classification_error. At
+z=2 and delta_p 0.5, origin (-4, 0, -2, 6, 2, 4, 6, 6, 5) gives no solution
+here against reference_enumerate's [0], and origin
+(-3, -1, 6, 5, 3, -4, -4, -4, -5) gives [0] against []. The fix is ROADMAP
+item 1, "make the oracle mark what the network classifies".
 
 The kernel's bound stage forms the (a row, b row, window) blocks it tests in
 one of two ways. For a list of windows (_list_blocks) each window has its own
@@ -278,8 +285,12 @@ def _solutions(a_side, b_side, c: np.ndarray, blocks):
     exactly for the patterns with target 1, s_p = a*h1 + b*h2 in float64.
     With lo = max(s_00, s_11) and hi = min(s_01, s_10) (_interval, a*h1
     first) that is hi - c >= 0.5 and lo - c < 0.5 (_solves), the four-pattern
-    test bit for bit: for a fixed c, s -> fl(s - c) is monotone, so
-    min(fl(s_01 - c), fl(s_10 - c)) = fl(hi - c), and likewise for the max.
+    test bit for bit on these h values: for a fixed c, s -> fl(s - c) is
+    monotone, so min(fl(s_01 - c), fl(s_10 - c)) = fl(hi - c), and likewise
+    for the max. The h values are _hidden's, not mlp.sigmoid's, so on the
+    0.5 edge the kernel can mark a vertex that mlp.classification_error
+    rejects, or miss one it accepts (see the module docstring; the fix is
+    ROADMAP item 1).
     Finite weights (WeightWindow, scan_window_counts) keep NaN out of it.
 
     Each side's table is split into rows of z^2 products that share an output

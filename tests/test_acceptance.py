@@ -1,127 +1,60 @@
 """Acceptance gate: one test per acceptance criterion.
 
 Each test name carries the criterion number, so a `pytest -v` run prints one
-pass/fail line per criterion. Reference values are the published ones;
-criteria 2, 3, 7 and 9 read them, with their tolerances, from
-`qwtrain.reference`, the table `qwtrain reproduce` also checks. Criterion 9
-enumerates the 134M-vertex z=8 window exactly, which takes about 0.2 s.
+pass/fail line per criterion. Criteria 1-5, 7 and 9 are computed and judged
+once, in `qwtrain.criteria`, from the reference values in `qwtrain.reference`;
+their tests read the verdicts of one `qwtrain reproduce` run (the
+`reproduce_run` fixture in conftest.py), so each test names the checks it
+needs to pass and gates the wall time its criterion measured. Criteria 6 and
+8, which the report does not cover, are computed here.
 """
 
-import hashlib
 import math
-import statistics
 import time
 
 import numpy as np
 
-import qwtrain as qw
-from qwtrain import coined_walk as cw
-from qwtrain import mlp, oracle, reference, trainer
+from qwtrain import mlp, oracle, reference
 from qwtrain.lackadaisical_walk import (WalkParams, angles, build_operator,
-                                        evolve, initial_state,
-                                        outcome_probabilities, steps_to_max)
+                                        evolve, initial_state)
 from qwtrain.weight_space import (WeightWindow, coords_to_index,
                                   index_to_coords, index_to_weights,
                                   window_size)
 
-S2 = math.sqrt(2.0)
+
+def passes(run, number, *names):
+    """The criterion's record, after asserting its checks are exactly `names`
+    and all pass."""
+    criterion = run.criteria[number]
+    checks = {c["name"]: c["ok"] for c in criterion["checks"]}
+    assert checks == dict.fromkeys(names, True), criterion["checks"]
+    print(f"criterion {number} PASS: " + "; ".join(c["detail"] for c in criterion["checks"]))
+    return criterion
 
 
-def test_criterion_1_toy_walk_collapses_to_aa_exactly():
-    t0 = time.perf_counter()
-    params = WalkParams(N=8, k=2, l=1)
-    state = initial_state(params)
-    state = evolve(state, build_operator(angles(params)), 3)
-    elapsed = time.perf_counter() - t0
-    expect_init = np.array([2.0, math.sqrt(12), math.sqrt(12), 6.0]) / 8.0
-    assert np.allclose(initial_state(params), expect_init, atol=1e-15)
-    p_aa = outcome_probabilities(state)[0]
-    assert abs(p_aa - 1.0) < 1e-9
-    assert elapsed < 1e-3
-    print(f"criterion 1 PASS: p_AA(3) = {p_aa:.12f}, {elapsed * 1e6:.0f} us")
+def test_criterion_1_toy_walk_collapses_to_aa_exactly(reproduce_run):
+    assert passes(reproduce_run, 1, "initial state", "p_AA(3) = 1")["wall_s"] < 1e-3
 
 
-def test_criterion_2_step_formula_matches_reference_table():
-    # each row carries its tolerance; (262144, 17) is the documented
-    # discrepancy: the formula gives 195.06, the reference table lists
-    # 195.83, and ceiling rounding still lands on 196
-    for row in reference.STEPS:
-        t_real, t_int = steps_to_max(WalkParams(N=row.N, k=row.k, l=1), "ceiling")
-        assert abs(t_real - row.t_real) <= row.tol, (row, t_real)
-        assert t_int == row.t_int, (row, t_int)
-    t_disc = steps_to_max(WalkParams(N=262144, k=17, l=1))[0]
-    assert abs(t_disc - 195.06) <= 0.01
-    print("criterion 2 PASS: 10.26/179.83/64.22 within 0.01; "
-          f"(262144,17) computed {t_disc:.2f} vs reference 195.83 "
-          "(documented discrepancy); ceiling t = 11/180/65/196")
+def test_criterion_2_step_formula_matches_reference_table(reproduce_run):
+    # (262144, 17) is the documented discrepancy: the formula gives 195.06,
+    # the table lists 195.83, and ceiling rounding still lands on 196
+    passes(reproduce_run, 2, *(f"t({r.N}, {r.k})" for r in reference.STEPS),
+           "t(262144, 17) formula")
 
 
-def test_criterion_3_final_probabilities_match_reference_table():
-    def simulate(N, k, steps):
-        t0 = time.perf_counter()
-        params = WalkParams(N=N, k=k, l=1)
-        state = evolve(initial_state(params), build_operator(angles(params)),
-                       steps)
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 1.0
-        return outcome_probabilities(state)
-
-    measured = []
-    for row in reference.PROBABILITIES:
-        p = simulate(row.N, row.k, row.steps)
-        assert row.passes(p), (row, p)
-        measured.append(f"{p[0]:.6f} ({row.N},{row.k})")
-    print("criterion 3 PASS: p_AA = " + ", ".join(measured))
+def test_criterion_3_final_probabilities_match_reference_table(reproduce_run):
+    names = (f"p({r.N}, {r.k})" for r in reference.PROBABILITIES)
+    assert passes(reproduce_run, 3, *names)["wall_s"] < 1.0  # the slowest walk
 
 
-def test_criterion_4_line_walk_structure():
-    t0 = time.perf_counter()
-    state3 = cw.walk_1d(3, "asymmetric")
-    expect = {3: (1 / (2 * S2), 0.0), 1: (1 / S2, 1 / (2 * S2)),
-              -1: (-1 / (2 * S2), 0.0), -3: (0.0, 1 / (2 * S2))}
-    assert set(state3.amplitudes) == set(expect)
-    for n, (ea, eb) in expect.items():
-        a, b = state3.amplitudes[n]
-        assert abs(a - ea) < 1e-12 and abs(b - eb) < 1e-12
-
-    asym = cw.walk_1d(100, "asymmetric")
-    sym = cw.walk_1d(100, "symmetric")
-    assert abs(cw.norm_1d(asym) - 1.0) < 1e-10
-    assert abs(cw.norm_1d(sym) - 1.0) < 1e-10
-
-    dist = cw.distribution_1d(sym)
-    assert all(dist[-n] == p for n, p in dist.items())
-    peak = max(dist, key=dist.get)
-    assert 60 <= abs(peak) <= 80
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0
-    print(f"criterion 4 PASS: exact t=3 amplitudes, norms 1, "
-          f"symmetric peak |n| = {abs(peak)}, {elapsed:.2f} s")
+def test_criterion_4_line_walk_structure(reproduce_run):
+    assert passes(reproduce_run, 4, "exact t=3 amplitudes", "norms 1", "mirror symmetry",
+                  "peak", "quantum below classical")["wall_s"] < 1.0
 
 
-def test_criterion_5_end_to_end_search_over_1000_seeds():
-    t0 = time.perf_counter()
-    outcomes = []
-    zero_error = True
-    failures = 0
-    for seed in range(1000):
-        cfg = trainer.TrainerConfig(seed=seed, max_window_shifts=100000)
-        try:
-            r = trainer.train(cfg)
-        except trainer.NoSolutionError:
-            failures += 1
-            continue
-        outcomes.append(r.outcome)
-        if r.outcome in ("AA", "AB") and r.classification_error != 0:
-            zero_error = False
-    elapsed = time.perf_counter() - t0
-    fraction = sum(o in ("AA", "AB") for o in outcomes) / 1000.0
-    assert zero_error, "a marked outcome produced weights that misclassify"
-    assert fraction >= 0.95, fraction
-    assert elapsed < 60.0, elapsed
-    print(f"criterion 5 PASS: fraction {fraction:.4f} (reference mean 0.9944), "
-          f"{failures} runs without a window, zero error everywhere, "
-          f"{elapsed:.1f} s")
+def test_criterion_5_end_to_end_search_over_1000_seeds(reproduce_run):
+    assert passes(reproduce_run, 5, "marked fraction", "zero error")["wall_s"] < 60.0
 
 
 def test_criterion_6_parallel_oracle_equals_serial_reference():
@@ -140,46 +73,9 @@ def test_criterion_6_parallel_oracle_equals_serial_reference():
           f"all re-verified, {elapsed:.2f} s")
 
 
-def test_criterion_7_backprop_baseline_trends():
-    t0 = time.perf_counter()
-    fast = [mlp.backprop_train(mlp.BackpropConfig(
-                learning_rate=reference.BACKPROP_FAST_LR, seed=s))
-            for s in range(500, 500 + reference.BACKPROP_FAST_RUNS)]
-    successes = [r for r in fast if r.outcome == "success"]
-    mean_success = statistics.fmean(r.epochs_used for r in successes)
-    mean_all = statistics.fmean(r.epochs_used for r in fast)
-    assert len(successes) >= reference.BACKPROP_MIN_SUCCESSES
-    assert mean_success < reference.BACKPROP_MAX_MEAN_EPOCHS
-    assert mean_all < reference.BACKPROP_MAX_MEAN_EPOCHS
-
-    slow = [mlp.backprop_train(mlp.BackpropConfig(
-                learning_rate=reference.BACKPROP_SLOW_LR, seed=s))
-            for s in range(500, 500 + reference.BACKPROP_SLOW_RUNS)]
-    limit_hits = sum(r.outcome == "epoch_limit" for r in slow)
-    mean_slow = statistics.fmean(r.epochs_used for r in slow)
-    assert limit_hits > 0 or mean_slow >= reference.BACKPROP_SLOWDOWN * mean_all
-
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(100):
-        w = rng.uniform(-1, 1, 9)
-        g = mlp.mse_gradient(w)
-        num = np.empty(9)
-        for j in range(9):
-            wp, wm = w.copy(), w.copy()
-            wp[j] += 1e-6
-            wm[j] -= 1e-6
-            num[j] = (mlp.mse(wp) - mlp.mse(wm)) / 2e-6
-        rel = np.linalg.norm(g - num) / max(np.linalg.norm(num), 1e-12)
-        worst = max(worst, rel)
-    assert worst <= 1e-6
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 300.0
-    print(f"criterion 7 PASS: {len(successes)}/100 success, mean epochs "
-          f"{mean_success:.1f} (successes) / {mean_all:.1f} (all) "
-          f"(references 33.60 at lr 0.5; 46987.00 at lr 1e-4), "
-          f"{limit_hits}/20 slow runs hit the epoch limit, "
-          f"gradient rel err {worst:.2e}, {elapsed:.0f} s")
+def test_criterion_7_backprop_baseline_trends(reproduce_run):
+    assert passes(reproduce_run, 7, "lr 0.5 successes", "lr 0.5 mean epochs",
+                  "lr 0.0001 slower", "analytic gradient")["wall_s"] < 300.0
 
 
 def test_criterion_8_invariant_suite():
@@ -238,22 +134,5 @@ def test_criterion_8_invariant_suite():
           f"angle identities, round-trips, delta_p multiples, {elapsed:.1f} s")
 
 
-def test_criterion_9_heavy_window_enumeration_and_walk():
-    t0 = time.perf_counter()
-    window = WeightWindow(w=9, z=8, origin=(0,) * 9, delta_p=0.5)
-    n = window_size(window)
-    assert n == 134217728
-    sols = oracle.enumerate_solutions(window)
-    k = sols.k
-    assert k == reference.Z8_ORIGIN_K
-    digest = hashlib.sha256(sols.indices.astype("<i8").tobytes()).hexdigest()
-    assert digest.startswith(reference.Z8_ORIGIN_INDEX_SHA256)
-    params = WalkParams(N=n, k=k, l=1)
-    t_real, t_int = steps_to_max(params, "ceiling")
-    state = evolve(initial_state(params), build_operator(angles(params)), t_int)
-    p = outcome_probabilities(state)
-    assert p[0] + p[1] >= reference.Z8_MARKED_MIN
-    elapsed = time.perf_counter() - t0
-    print(f"criterion 9 PASS: k = {k} (window-dependent; reference run "
-          f"reported 80295), t = {t_int}, p_AA + p_AB = {p[0] + p[1]:.6f}, "
-          f"{elapsed:.1f} s")
+def test_criterion_9_heavy_window_enumeration_and_walk(reproduce_run):
+    passes(reproduce_run, 9, "N", "k", "solution indices", "marked probability")

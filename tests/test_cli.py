@@ -173,12 +173,9 @@ def test_int_config_value_for_a_float_key_matches_the_flag(tmp_path):
     ["backprop", "--jobs", "-3"],
     ["backprop", "--jobs", "0"],
     ["backprop", "--runs", "-1"],
-    ["reproduce", "--train-runs", "-1"],
-    ["reproduce", "--max-shifts", "-1"],
     ["train", "--seed", "-1"],
     ["backprop", "--seed", "-1"],
     ["backprop", "--seed", "-1", "--runs", "0"],
-    ["reproduce", "--seed", "-1"],
 ], ids=" ".join)
 def test_out_of_range_run_sizes_are_usage_errors(tmp_path, args):
     with pytest.raises(SystemExit) as e:
@@ -215,18 +212,24 @@ def test_train_dry_run_prints_steps_without_outputs(tmp_path, capsys):
 
 
 def test_dropped_options_are_unknown_keys(tmp_path, capsys):
-    # train's weight count is fixed at 9 and the walks draw no random numbers
-    for subcommand, key in (("train", "w"), ("walk1d", "seed"),
-                            ("walknd", "seed"), ("walkc", "seed")):
+    # train's weight count is fixed at 9, the walks draw no random numbers,
+    # and reproduce runs the criteria at their reference run sizes
+    out_dir = tmp_path / "out"
+    for subcommand, key in (("train", "w"), ("walk1d", "seed"), ("walknd", "seed"),
+                            ("walkc", "seed"), ("reproduce", "seed"),
+                            ("reproduce", "max_shifts"), ("reproduce", "train_runs")):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 9}))
         with pytest.raises(SystemExit) as e:
-            run([subcommand, "--config", str(cfg), "--out-dir", str(tmp_path)])
+            run([subcommand, "--config", str(cfg), "--out-dir", str(out_dir)])
         assert e.value.code == 1
         assert "unknown config keys" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as e:
-        run(["train", "--w", "9", "--out-dir", str(tmp_path)])
-    assert e.value.code == 1
+    for args in (["train", "--w", "9"], ["reproduce", "--seed", "500"],
+                 ["reproduce", "--train-runs", "2"], ["reproduce", "--max-shifts", "100"]):
+        with pytest.raises(SystemExit) as e:
+            run(args + ["--out-dir", str(out_dir)])
+        assert e.value.code == 1
+    assert not out_dir.exists()
 
 
 def test_train_no_solution_is_a_runtime_error(tmp_path, capsys):
@@ -278,14 +281,14 @@ def test_epochs_summary_matches_hand_stats():
     assert s["std"] == pytest.approx(2.13808993, abs=1e-6)
 
 
-def test_reproduce_end_to_end(tmp_path, capsys):
-    assert run(["reproduce", "--train-runs", "2", "--out-dir", str(tmp_path)]) == 0
-    assert "0 failing rows" in capsys.readouterr().out
-    manifest = json.loads((tmp_path / "reproduce.manifest.json").read_text())
-    assert manifest["config"] == {"seed": 500, "max_shifts": 100000, "train_runs": 2}
+def test_reproduce_end_to_end(reproduce_run):
+    assert "; 0 failing checks" in reproduce_run.stdout
+    manifest = json.loads((reproduce_run.out_dir / "reproduce.manifest.json").read_text())
+    assert manifest["config"] == {}
     assert manifest["outputs"]
     for path in manifest["outputs"]:
         assert os.path.exists(path), path
-    report = (tmp_path / "report.md").read_text()
+    assert sorted(reproduce_run.criteria) == [1, 2, 3, 4, 5, 7, 9]
+    report = (reproduce_run.out_dir / "report.md").read_text()
     assert "k = 3240" in report
     assert "FAIL" not in report
