@@ -52,7 +52,6 @@ from .oracle import (
     WindowTooLarge,
     enumerate_solutions,
     evaluate_vertex,
-    scan_window_counts,
 )
 from .trainer import (
     ExperimentResult,
@@ -118,7 +117,6 @@ __all__ = [
     "random_window",
     "ring_size",
     "sample_outcome",
-    "scan_window_counts",
     "shift_window",
     "step_1d",
     "step_nd",

@@ -22,22 +22,19 @@ here against reference_enumerate's [0], and origin
 (-3, -1, 6, 5, 3, -4, -4, -4, -5) gives [0] against []. The fix is ROADMAP
 item 1, "make the oracle mark what the network classifies".
 
-The kernel's bound stage forms the (a row, b row, window) blocks it tests in
-one of two ways. For a list of windows (_list_blocks) each window has its own
-a-side key (weights 0-2 and 6), b-side key (3-5 and 7) and output bias key
-(8); enumerate_solutions lists the solutions of one window as vertex indices,
-and scan_window_counts counts them per window, so a window's count is its k.
-For a product of keys (_product_blocks), such as a block of the trainer's
-ring enumeration, every (a key, b key, c key) triple is a window: the tables
-are built once per key, a block's bounds are the outer sum of the two sides'
-per-key row bounds, broadcast with no per-window gather, and the live blocks
-reach the pair stage in window order, each window's as one run. The pair
-stage tests the output biases at the end of every run, so
-first_solvable_position stops within one pair chunk of the end of the first
-solvable window's run and takes that window's solution indices from the
-same pass, pairing no live block twice. Both routes turn a solution into a
-vertex index with one formula (_vertex_indices), so the trainer's solution
-set of a window is the one enumerate_solutions gives.
+The kernel has one bound stage (_product_blocks). Its input is a product
+of keys: an a-side key (weights 0-2 and 6), a b-side key (3-5 and 7) and an
+output bias key (8), every (a key, b key, c key) triple being a window, such
+as a block of the trainer's ring enumeration. The tables are built once per
+key, a block's bounds are the outer sum of the two sides' per-key row
+bounds, broadcast with no per-window gather, and the live blocks reach the
+pair stage in window order, each window's as one run. The pair stage yields
+the solutions of a window once its run has ended, so first_solvable_position
+stops within one pair chunk of the end of the first solvable window's run
+and takes that window's solution indices from the same pass, pairing no
+live block twice. A single window is a product of one key of each kind, so
+enumerate_solutions is first_solvable_position on it, and the trainer's
+solution set of a window is the one enumerate_solutions gives.
 Two unfactored routes are kept as independent references: a scalar
 per-vertex predicate (evaluate_vertex) and a plain double loop
 (reference_enumerate).
@@ -53,10 +50,10 @@ import numpy as np
 
 from . import mlp
 from .weight_space import (WeightWindow, from_descriptor, index_to_weights,
-                           require_finite_weights, to_descriptor, window_size)
+                           to_descriptor, window_size)
 
 DEFAULT_VERTEX_CAP = 2 ** 30
-_TABLE_BLOCK = 1 << 15  # float64 elements per scan table chunk
+_TABLE_BLOCK = 1 << 15  # float64 elements per chunk of block bounds
 
 _MAGIC = b"QWSOLSET"
 
@@ -205,17 +202,6 @@ def _side(vals: np.ndarray, j: int, o: int):
     return h, vals[o], _row_bounds(vals[o], h)
 
 
-def _list_blocks(a_bounds: np.ndarray, b_bounds: np.ndarray, c: np.ndarray):
-    """Bound stage of a list of windows, one key per side per window: key i
-    of every side is window i. Yields the live (a row, b row, a key, b key,
-    c key) blocks once."""
-    z2, n = a_bounds.shape[1], c.shape[1]
-    lo, hi, tmp = (np.empty((z2, z2, n)) for _ in range(3))
-    _interval(a_bounds[:, :, None], b_bounds[:, None], lo, hi, tmp)
-    ra, rb, w = np.nonzero(_solves(lo, hi, c[:, None, None]).any(axis=0))
-    yield ra, rb, w, w, w
-
-
 def _live_rows(x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Rows of one side's row bounds x (4, rows) that can be in a live block:
     those whose bound test passes for some c against the other side's
@@ -238,8 +224,8 @@ def _product_blocks(a_bounds: np.ndarray, b_bounds: np.ndarray, c: np.ndarray,
     rows that cannot be in a live block go first (_live_rows); the block
     bounds of the rest are the outer sum of the two sides' row bounds,
     formed by broadcasting in chunks of about _TABLE_BLOCK elements over the
-    a rows, with no per-window gather. Yields the live (a row, b row, a key,
-    b key, c key) blocks once, in increasing window position."""
+    a rows, with no per-window gather. Returns the live (a row, b row, a key,
+    b key, c key) blocks, equal-length arrays in increasing window position."""
     na, nb, (z, nc) = a_bounds.shape[2], b_bounds.shape[2], c.shape
     a_all, b_all = a_bounds.reshape(4, -1), b_bounds.reshape(4, -1)
     ia, ib = _live_rows(a_all, b_all, c), _live_rows(b_all, a_all, c)
@@ -262,23 +248,22 @@ def _product_blocks(a_bounds: np.ndarray, b_bounds: np.ndarray, c: np.ndarray,
     (ra, ka), (rb, kb) = np.divmod(ja, na), np.divmod(jb, nb)
     pa, pb, pc = positions
     order = np.argsort(pa[ka] + pb[kb] + pc[kc], kind="stable")
-    yield ra[order], rb[order], ka[order], kb[order], kc[order]
+    return ra[order], rb[order], ka[order], kb[order], kc[order]
 
 
-def _solutions(a_side, b_side, c: np.ndarray, blocks):
-    """Yield the solution vertices of the live blocks of a bound stage.
+def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
+    """Yield the solution vertices of the live blocks of the bound stage,
+    window by window.
 
     a_side and b_side are _side tables per key and c is (z, nc) output-bias
-    values per key. blocks yields chunks of live (a row, b row, a key, b key,
-    c key) blocks, equal-length arrays; _list_blocks and _product_blocks are
-    the two bound stages, and they differ only in how they form the key
-    triples. Each yield is (live blocks, done, block, offset, c index): the
-    chunk of live blocks as the bound stage gave it; done, the number of its
-    blocks paired so far; then equal-length arrays with one entry per
-    solution, the block indexing the chunk. _vertex_indices turns them into
-    vertex indices, each in the window of its key triple. One yield covers
-    all the solutions among the pairs tested since the previous one, so the
-    yields so far hold every solution of the chunk's first done blocks.
+    values per key. live_blocks are the (a row, b row, a key, b key, c key)
+    blocks _product_blocks returns, each window's blocks one run. Each yield
+    is (block, offset, c index), equal-length arrays with one entry per
+    solution, the block indexing live_blocks; _vertex_indices turns them into
+    vertex indices, each in the window of its key triple. A yield holds every
+    solution of the windows whose runs ended since the previous one, and no
+    other, so the first yield holds the whole solution set of the first
+    solvable window.
 
     The network factors: h1 depends on weights 0-2 only, h2 on 3-5, and
     y = a*h1 + b*h2 - c. A vertex solves XOR when s_p - c >= 0.5 holds
@@ -291,7 +276,8 @@ def _solutions(a_side, b_side, c: np.ndarray, blocks):
     0.5 edge the kernel can mark a vertex that mlp.classification_error
     rejects, or miss one it accepts (see the module docstring; the fix is
     ROADMAP item 1).
-    Finite weights (WeightWindow, scan_window_counts) keep NaN out of it.
+    Finite weights (WeightWindow, the trainer's check on its keys) keep NaN
+    out of it.
 
     Each side's table is split into rows of z^2 products that share an output
     weight and a hidden bias (_row_bounds). The bound stage tests each
@@ -303,51 +289,58 @@ def _solutions(a_side, b_side, c: np.ndarray, blocks):
     elements; no c passes where lo >= hi, so only the pairs with lo < hi are
     kept. One pass over the output biases tests each c on those alone: once
     the pair chunks have kept about _SURVIVOR_BLOCK of them, and at the end
-    of each pair chunk in which a window's run ends, a run being the
-    consecutive live blocks of one key triple. The run ends are found once
-    per chunk of live blocks. A single window is one run, so it is tested at
-    the end of its live blocks; a product block's runs are its windows in
-    position order, so its first yield comes within one pair chunk of the
-    end of its first solvable window. Keeping a whole chunk's survivors
+    of each pair chunk in which a window's run ends. The hits of windows
+    whose runs have ended are yielded there; those of a run that goes on
+    past the chunk are held for the next run end. So the first yield comes
+    within one pair chunk of the end of the first solvable window's run, and
+    no live block is paired twice. Keeping a whole window's survivors
     instead costs megabytes at z=4, where many pairs have lo < hi.
     """
     (h1, a), (h2, b) = a_side[:2], b_side[:2]
+    ra, rb, ka, kb, kc = live_blocks
+    if not ra.size:
+        return
     z = a.shape[0]
     z2, z4 = z * z, z ** 4
     per = max(1, _PAIR_BLOCK // z4)  # blocks per pair chunk
     lo_buf, hi_buf, tmp_buf = (np.empty(per * z4) for _ in range(3))
     live_buf = np.empty(per * z4, dtype=bool)
-    for live_blocks in blocks:
-        ra, rb, ka, kb, kc = live_blocks
-        if not ra.size:
+    keys = np.stack((ka, kb, kc))
+    last = np.append(np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)),
+                     ra.size - 1)  # the last live block of each window's run
+    # per pair chunk: the live blocks of the runs ended by its end (the
+    # windows whole so far), 0 if no run ends in it
+    ended = np.zeros(-(-ra.size // per), dtype=np.int64)
+    np.maximum.at(ended, last // per, last + 1)
+    kept, n_kept, held = [], 0, []
+    for j in range(0, ra.size, per):
+        s = slice(j, j + per)
+        ra_j, rb_j, ka_j, kb_j = ra[s], rb[s], ka[s], kb[s]
+        a_rows = (a[ra_j // z, ka_j, None, None] * h1[:, ra_j % z, :, ka_j]).transpose(1, 0, 2)
+        b_rows = (b[rb_j // z, kb_j, None, None] * h2[:, rb_j % z, :, kb_j]).transpose(1, 0, 2)
+        lo, hi, tmp, live = (buf[:ra_j.size * z4].reshape(ra_j.size, z2, z2)
+                             for buf in (lo_buf, hi_buf, tmp_buf, live_buf))
+        _interval(a_rows[:, :, :, None], b_rows[:, :, None, :], lo, hi, tmp)
+        np.less(lo, hi, out=live)
+        flat = np.flatnonzero(live)
+        kept.append((flat + j * z4, lo.ravel()[flat], hi.ravel()[flat]))
+        n_kept += flat.size
+        whole = ended[j // per]
+        if n_kept < _SURVIVOR_BLOCK and not whole:
             continue
-        keys = np.stack((ka, kb, kc))
-        last = np.append(np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)),
-                         ra.size - 1)  # the last live block of each window's run
-        run_ends = np.zeros(-(-ra.size // per), dtype=bool)  # per pair chunk
-        run_ends[last // per] = True
+        flat, lo_v, hi_v = (np.concatenate(col) for col in zip(*kept))
         kept, n_kept = [], 0
-        for j in range(0, ra.size, per):
-            s = slice(j, j + per)
-            ra_j, rb_j, ka_j, kb_j = ra[s], rb[s], ka[s], kb[s]
-            a_rows = (a[ra_j // z, ka_j, None, None] * h1[:, ra_j % z, :, ka_j]).transpose(1, 0, 2)
-            b_rows = (b[rb_j // z, kb_j, None, None] * h2[:, rb_j % z, :, kb_j]).transpose(1, 0, 2)
-            lo, hi, tmp, live = (buf[:ra_j.size * z4].reshape(ra_j.size, z2, z2)
-                                 for buf in (lo_buf, hi_buf, tmp_buf, live_buf))
-            _interval(a_rows[:, :, :, None], b_rows[:, :, None, :], lo, hi, tmp)
-            np.less(lo, hi, out=live)
-            flat = np.flatnonzero(live)
-            kept.append((flat + j * z4, lo.ravel()[flat], hi.ravel()[flat]))
-            n_kept += flat.size
-            if n_kept < _SURVIVOR_BLOCK and not run_ends[j // per]:
-                continue
-            flat, lo_v, hi_v = (np.concatenate(col) for col in zip(*kept))
-            kept, n_kept = [], 0
-            blk, off = np.divmod(flat, z4)
-            ci, hit = np.divmod(np.flatnonzero(_solves(lo_v, hi_v, c[:, kc[blk]])),
-                                flat.size)
-            if hit.size:
-                yield live_blocks, min(j + per, ra.size), blk[hit], off[hit], ci
+        blk, off = np.divmod(flat, z4)
+        ci, hit = np.divmod(np.flatnonzero(_solves(lo_v, hi_v, c[:, kc[blk]])),
+                            flat.size)
+        held.append((blk[hit], off[hit], ci))
+        if not whole:
+            continue
+        blk, off, ci = (np.concatenate(col) for col in zip(*held))
+        mine = blk < whole
+        held = [(blk[~mine], off[~mine], ci[~mine])]
+        if mine.any():
+            yield blk[mine], off[mine], ci[mine]
 
 
 def _vertex_indices(ra: np.ndarray, rb: np.ndarray, off: np.ndarray,
@@ -363,62 +356,6 @@ def _vertex_indices(ra: np.ndarray, rb: np.ndarray, off: np.ndarray,
             + z ** 6 * (ra // z) + z ** 7 * (rb // z) + z ** 8 * ci)
 
 
-def _sorted_indices(parts) -> np.ndarray:
-    return np.sort(np.concatenate([np.empty(0, dtype=np.int64), *parts]))
-
-
-def _window_solutions(origins: np.ndarray, z: int, delta_p: float):
-    """Yield (window, a row, b row, offset, c index) of many windows (B, 9),
-    as _solutions does, through the list bound stage in chunks of about
-    _TABLE_BLOCK hidden-table elements."""
-    step = max(1, _TABLE_BLOCK // (4 * z ** 4))  # windows per table chunk
-    for i in range(0, origins.shape[0], step):
-        vals = _weight_values(origins[i:i + step], z, delta_p)
-        a_side, b_side, c = _side(vals, 0, 6), _side(vals, 3, 7), vals[8]
-        for (ra, rb, w, _, _), _, bh, off, ci in _solutions(
-                a_side, b_side, c, _list_blocks(a_side[2], b_side[2], c)):
-            yield i + w[bh], ra[bh], rb[bh], off, ci
-
-
-def enumerate_solutions(window: WeightWindow) -> SolutionSet:
-    """Exact solution set of a window, in increasing index order.
-
-    The solutions are those the shared kernel (_solutions) finds, turned into
-    vertex indices. Scratch is the kernel's chunks and the solutions, not the
-    window. Refuses windows above DEFAULT_VERTEX_CAP vertices.
-    """
-    require_enumerable(window)
-    parts = [_vertex_indices(ra, rb, off, ci, window.z)
-             for _, ra, rb, off, ci in _window_solutions(
-                 np.asarray([window.origin], dtype=np.int64), window.z, window.delta_p)]
-    return SolutionSet(window=window, indices=_sorted_indices(parts))
-
-
-def scan_window_counts(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
-    """Solution count per candidate window, many windows at once.
-
-    origins is (B, 9) integers; returns (B,) int64 counts. Count i is the
-    number of solutions the shared kernel (_solutions) finds in window i, so
-    it equals enumerate_solutions(window i).k.
-    """
-    origins = np.asarray(origins)
-    if origins.ndim != 2 or origins.shape[1] != 9:
-        raise ValueError("origins must be (B, 9)")
-    if not np.issubdtype(origins.dtype, np.integer):
-        raise ValueError(f"origins must be integers, got {origins.dtype}")
-    if z < 1:
-        raise ValueError(f"z must be positive, got {z}")
-    if not (np.isfinite(delta_p) and delta_p > 0):
-        raise ValueError(f"delta_p must be finite and positive, got {delta_p}")
-    if origins.size:
-        require_finite_weights(delta_p, (origins.max(), origins.min()), z)
-    origins = origins.astype(np.int64, copy=False)
-    counts = np.zeros(origins.shape[0], dtype=np.int64)
-    for win, *_ in _window_solutions(origins, z, delta_p):
-        np.add.at(counts, win, 1)
-    return counts
-
-
 def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray,
                             c_keys: np.ndarray, positions, z: int, delta_p: float
                             ) -> tuple[int, np.ndarray] | None:
@@ -430,41 +367,47 @@ def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray,
     order; a_keys and b_keys are (n, 4) integers, c_keys (n, 1)). Window
     (i, j, l) sits at position positions[0][i] + positions[1][j] +
     positions[2][l]. The tables are built once per key, not once per window,
-    both sides' in one call, and the shared kernel (_solutions) pairs the
-    blocks the product bound stage (_product_blocks) leaves live, in
-    increasing position. So the smallest position among the first
-    yield's solutions is the first solvable window, and its solutions in
-    that yield are those of its live blocks among the first done. The
-    kernel tests the output biases where the window's run of live blocks
-    ends, so done usually covers the run; when a survivor flush ended the
-    yield inside it, the kernel pairs the run's remaining blocks alone. No
-    live block is paired twice, and the windows after the first solvable
-    one's pair chunk are not paired. The indices are those
-    enumerate_solutions gives for the window. The caller checks that the
-    weights are finite.
+    both sides' in one call, and the kernel (_solutions) pairs the blocks
+    the bound stage (_product_blocks) leaves live, in increasing position.
+    Its first yield holds the whole solution sets of the windows whose runs
+    of live blocks ended within one pair chunk, so the smallest position
+    among them is the first solvable window, and its solutions there are
+    all of its solutions. The windows after that pair chunk are not paired.
+    The caller checks that the weights are finite.
     """
     na = len(a_keys)
     both = _side(_weight_values(np.concatenate([a_keys, b_keys]), z, delta_p), 0, 3)
     a_side, b_side = (tuple(t[..., s] for t in both)
                       for s in (slice(None, na), slice(na, None)))
     c = _weight_values(c_keys, z, delta_p)[0]
-    pa, pb, pc = positions
-    first = next(_solutions(a_side, b_side, c,
-                            _product_blocks(a_side[2], b_side[2], c, positions)), None)
+    live_blocks = _product_blocks(a_side[2], b_side[2], c, positions)
+    first = next(_solutions(a_side, b_side, c, live_blocks), None)
     if first is None:
         return None
-    live_blocks, done, blk, off, ci = first
-    ra, rb, ka, kb, kc = live_blocks
-    block_position = pa[ka] + pb[kb] + pc[kc]  # sorted by _product_blocks
-    hit = block_position[blk].min()
-    mine = block_position[blk] == hit
-    parts = [_vertex_indices(ra[blk[mine]], rb[blk[mine]], off[mine], ci[mine], z)]
-    # the run's blocks past done, if a survivor flush ended the pass inside it
-    stop = np.searchsorted(block_position, hit, side="right")
-    parts += [_vertex_indices(ra_t[b], rb_t[b], off_t, ci_t, z)
-              for (ra_t, rb_t, *_), _, b, off_t, ci_t in _solutions(
-                  a_side, b_side, c, [tuple(col[done:stop] for col in live_blocks)])]
-    return int(hit), _sorted_indices(parts)
+    blk, off, ci = first
+    ra, rb, ka, kb, kc = (col[blk] for col in live_blocks)
+    pa, pb, pc = positions
+    position = pa[ka] + pb[kb] + pc[kc]
+    hit = position.min()
+    mine = position == hit
+    return int(hit), np.sort(_vertex_indices(ra[mine], rb[mine], off[mine], ci[mine], z))
+
+
+def enumerate_solutions(window: WeightWindow) -> SolutionSet:
+    """Exact solution set of a window, in increasing index order.
+
+    The window is a product of one key of each kind at position 0, so its
+    solutions are those first_solvable_position finds. Scratch is the
+    kernel's chunks and the solutions, not the window. Refuses windows above
+    DEFAULT_VERTEX_CAP vertices.
+    """
+    require_enumerable(window)
+    origin = np.asarray(window.origin, dtype=np.int64)
+    found = first_solvable_position(*(origin[None, list(dims)] for dims in KEY_DIMS),
+                                    [np.zeros(1, dtype=np.int64)] * 3,
+                                    window.z, window.delta_p)
+    return SolutionSet(window=window, indices=np.empty(0, dtype=np.int64)
+                       if found is None else found[1])
 
 
 def to_json(s: SolutionSet) -> str:

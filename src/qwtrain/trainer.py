@@ -41,8 +41,8 @@ from .lackadaisical_walk import (OUTCOME_LABELS, ROUNDING_MODES, WalkParams,
                                  angles, build_operator, evolve, initial_state,
                                  outcome_probabilities, sample_outcome,
                                  steps_to_max)
-from .oracle import (KEY_DIMS, SolutionSet, first_solvable_position,
-                     require_enumerable)
+from .oracle import (KEY_DIMS, SolutionSet, enumerate_solutions,
+                     first_solvable_position, require_enumerable)
 from .seeding import substream
 from .weight_space import (WeightWindow, index_to_weights, random_window,
                            require_finite_weights, ring_block_keys,
@@ -205,11 +205,10 @@ def find_solvable_window(start: WeightWindow, config: TrainerConfig
                 raise
             # ring 1's weights overflow but the start's do not, and the start
             # comes first: it is searched alone
-            coords, offsets = _block_keys(origin, z, 1, 0, 0)
-            found = first_solvable_position(*coords, offsets, z, delta_p)
-            if found is None:
+            solutions = enumerate_solutions(start)
+            if not solutions.k:
                 raise
-            return start, SolutionSet(window=start, indices=found[1]), 0
+            return start, solutions, 0
         found = first_solvable_position(*coords, offsets, z, delta_p)
         if found is None:
             continue

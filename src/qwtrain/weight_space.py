@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -184,20 +183,13 @@ def ring_displacement(w: int, z: int, r: int, position: int) -> np.ndarray:
     return rows[0]
 
 
-def iter_displacements(w: int, z: int, batch=8192) -> Iterator[tuple[int, np.ndarray]]:
+def iter_displacements(w: int, z: int, batch: int = 8192) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (first_shift_index, displacement rows) in shift order, forever.
 
     Row i of a yielded array is the displacement for shift_index
-    first_shift_index + i. `batch` bounds how many counter positions are
-    decoded per yield; it may be an integer, Python or numpy, or an iterable
-    of ints (a schedule, e.g. small batches first when early hits are
-    likely), the last value repeating forever.
+    first_shift_index + i. `batch`, an integer (Python or numpy), bounds how
+    many counter positions are decoded per yield.
     """
-    if isinstance(batch, (int, np.integer)):
-        sizes = repeat(batch)
-    else:
-        schedule = list(batch)
-        sizes = chain(schedule, repeat(schedule[-1]))
     next_index = 1
     r = 1
     while True:
@@ -205,7 +197,7 @@ def iter_displacements(w: int, z: int, batch=8192) -> Iterator[tuple[int, np.nda
         total = base ** w
         lo = 0
         while lo < total:
-            hi = min(lo + max(next(sizes), 1), total)
+            hi = min(lo + max(batch, 1), total)
             rows = _ring_block(w, z, r, lo, hi)
             if rows.size:
                 yield next_index, rows

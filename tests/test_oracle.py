@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import interval_counts
 from qwtrain import mlp, oracle
 from qwtrain.weight_space import (WeightWindow, index_to_weights,
                                   iter_displacements, random_window,
@@ -36,12 +37,12 @@ def test_enumerate_matches_reference_and_reverifies():
 @pytest.mark.parametrize("z", (2, 3))
 @pytest.mark.parametrize("delta_p", (0.25, 0.5, 1.0))
 def test_enumerate_matches_reference_across_windows(z, delta_p):
-    # seeded origins with weights within about +-3; the scan picks the first
-    # two solvable windows among them, and the first drawn one rides along
+    # seeded origins with weights within about +-3; the first two solvable
+    # windows among them are checked, and the first drawn one rides along
     rng = np.random.default_rng([z, int(delta_p * 100)])
     r = round(3 / delta_p)
     origins = rng.integers(-r, r + 1, size=(4096, 9))
-    solvable = np.flatnonzero(oracle.scan_window_counts(origins, z, delta_p))[:2]
+    solvable = _first_solvable(origins, z, delta_p)
     assert solvable.size == 2
     total = 0
     for o in origins[[0, *solvable]]:
@@ -52,6 +53,19 @@ def test_enumerate_matches_reference_across_windows(z, delta_p):
         assert np.array_equal(fast.indices, oracle.reference_enumerate(window).indices)
         total += fast.k
     assert total > 0
+
+
+def _first_solvable(origins, z, delta_p, count=2):
+    """Indices of the first `count` origins whose windows hold a solution,
+    enumerated in order until they are found."""
+    found = []
+    for i, o in enumerate(origins):
+        window = WeightWindow(w=9, z=z, origin=tuple(int(v) for v in o), delta_p=delta_p)
+        if oracle.enumerate_solutions(window).k:
+            found.append(i)
+            if len(found) == count:
+                break
+    return np.array(found, dtype=np.int64)
 
 
 def _four_pattern_solutions(window):
@@ -79,12 +93,12 @@ def _four_pattern_solutions(window):
 def _differential_origins(z, delta_p):
     """Seeded origins: four near SOLVABLE's weights, where solutions are
     common at z >= 3, two drawn with weights within about +-6, where they are
-    rarer, and the first two scan-solvable ones among 2048 / 4^(z-2) more."""
+    rarer, and the first two solvable ones among 2048 / 4^(z-2) more."""
     rng = np.random.default_rng([z, round(delta_p * 100)])
     near = np.rint(np.multiply(SOLVABLE.origin, SOLVABLE.delta_p) / delta_p)
     r = round(6 / delta_p)
     wide = rng.integers(-r, r + 1, size=(2 + 2048 // 4 ** (z - 2), 9))
-    hits = np.flatnonzero(oracle.scan_window_counts(wide[2:], z, delta_p))[:2]
+    hits = _first_solvable(wide[2:], z, delta_p)
     return np.vstack([near.astype(np.int64) + rng.integers(-1, 2, size=(4, 9)),
                       wide[:2], wide[2 + hits]])
 
@@ -131,25 +145,6 @@ def test_enumerate_scratch_stays_bounded(z, budget):
     assert peak < budget
 
 
-@pytest.mark.parametrize("z,delta_p,seeds,rows_per_seed,budget_mib", [
-    (4, 1.0, range(2), 16, 1.5), (2, 0.5, range(4), 4096, 2.25),
-    (4, 1.0, (13, 34), 32, 1.5)])
-def test_scan_scratch_stays_bounded(z, delta_p, seeds, rows_per_seed, budget_mib):
-    # the trainer's largest batches at z=4 and z=2; float64 tables in bigger
-    # chunks would raise the process's peak RSS. The z=4 batches of seeds 13
-    # and 34 hold many pairs with lo < hi: kept for a whole table chunk at
-    # once, they would take about 2.9 MiB
-    origins = _ring_batches(z, delta_p, seeds, rows_per_seed)
-    tracemalloc.start()
-    try:
-        counts = oracle.scan_window_counts(origins, z, delta_p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert counts.any()
-    assert peak < budget_mib * 2 ** 20
-
-
 def _block(z, delta_p, seed, r, start, m):
     """A ring block of a seed's start window: the first_solvable_position
     arguments and the origin of each of its b^m counter positions, inner
@@ -170,15 +165,15 @@ def _product_pass(a_keys, b_keys, c_keys, positions, z, delta_p):
                       for keys in (a_keys, b_keys))
     c = oracle._weight_values(c_keys, z, delta_p)[0]
     pa, pb, pc = positions
-    blocks = list(oracle._product_blocks(a_side[2], b_side[2], c, positions))
-    [(_, _, ka, kb, kc)] = blocks
+    blocks = oracle._product_blocks(a_side[2], b_side[2], c, positions)
+    _, _, ka, kb, kc = blocks
     return pa[ka] + pb[kb] + pc[kc], oracle._solutions(a_side, b_side, c, blocks)
 
 
 def _product_solution_positions(*args):
     """Window position of every solution of a product block."""
     position, yields = _product_pass(*args)
-    return np.concatenate([np.empty(0, np.int64)] + [position[b] for _, _, b, *_ in yields])
+    return np.concatenate([np.empty(0, np.int64)] + [position[b] for b, *_ in yields])
 
 
 @pytest.mark.parametrize("z,delta_p,seed,r,start,m", [
@@ -187,13 +182,13 @@ def _product_solution_positions(*args):
     ids=("z2-ring1-seed7", "z2-ring1-seed11", "z2-ring2", "z4-first", "z4-27",
          "z3-243"))
 def test_block_solutions_count_what_the_scan_counts(z, delta_p, seed, r, start, m):
-    # the product bound stage drops no window the list scan counts, and it
+    # the bound stage drops no solution a brute-force count finds, and it
     # hands the pair stage the windows in position order, so the first
     # solvable window is the one first_solvable_position returns, with the
     # solution indices enumerate_solutions gives it
     args, origins = _block(z, delta_p, seed, r, start, m)
     counts = np.bincount(_product_solution_positions(*args), minlength=origins.shape[0])
-    assert np.array_equal(counts, oracle.scan_window_counts(origins, z, delta_p))
+    assert np.array_equal(counts, interval_counts(origins, z, delta_p))
     assert counts.any()
     first, indices = oracle.first_solvable_position(*args)
     assert first == np.flatnonzero(counts)[0]
@@ -207,7 +202,7 @@ def test_block_solutions_of_a_barren_block_yield_nothing():
     args, origins = _block(2, 0.5, 5, 2, 0, 6)
     assert _product_solution_positions(*args).size == 0
     assert oracle.first_solvable_position(*args) is None
-    assert not oracle.scan_window_counts(origins, 2, 0.5).any()
+    assert not interval_counts(origins, 2, 0.5).any()
 
 
 @pytest.mark.parametrize("z,delta_p,seed,r,start,m", [
@@ -217,9 +212,9 @@ def test_block_solutions_of_a_barren_block_yield_nothing():
 def test_block_scratch_stays_bounded(z, delta_p, seed, r, start, m):
     # the largest blocks the trainer forms (z=2: 3^8 in ring 1, 5^6 in ring
     # 2; z=4: 81 windows) and the whole of z=2 ring 1: the bound stage goes
-    # in chunks of about _TABLE_BLOCK elements and the pair stage as in the
-    # list scan, so scratch does not grow with the block. The z=4 blocks of
-    # seeds 13 and 34 hold many pairs with lo < hi
+    # in chunks of about _TABLE_BLOCK elements and the pair stage in chunks
+    # of about _PAIR_BLOCK, so scratch does not grow with the block. The z=4
+    # blocks of seeds 13 and 34 hold many pairs with lo < hi
     args, _ = _block(z, delta_p, seed, r, start, m)
     tracemalloc.start()
     try:
@@ -234,11 +229,11 @@ def test_block_scratch_stays_bounded(z, delta_p, seed, r, start, m):
 @pytest.mark.parametrize("survivor_block", (None, 16))
 def test_the_search_pairs_no_live_block_twice(monkeypatch, survivor_block):
     # z=4 first blocks (9 windows) of seeds that hit at position 0-2. The
-    # search pass flushes its survivors in the pair chunk where the hit
-    # window's run of live blocks ends, and then pairs only the run's blocks
-    # past the pass: no more blocks than the run's end, rounded up to a pair
-    # chunk, are paired. With 16 survivors per flush, the pass of seeds 11,
-    # 13 and 23 ends inside the run, and its tail is paired on its own
+    # search stops in the pair chunk where the hit window's run of live
+    # blocks ends: no more blocks than the run's end, rounded up to a pair
+    # chunk, are paired. With 16 survivors per flush, the survivors of seeds
+    # 11, 13 and 23 are flushed inside the run, and the hits found there are
+    # held until the run ends, so the solution set is still whole
     if survivor_block is not None:
         monkeypatch.setattr(oracle, "_SURVIVOR_BLOCK", survivor_block)
     real, paired = oracle._interval, []
@@ -250,21 +245,28 @@ def test_the_search_pairs_no_live_block_twice(monkeypatch, survivor_block):
 
     monkeypatch.setattr(oracle, "_interval", counting)
     per = oracle._PAIR_BLOCK // 4 ** 4
-    tails = set()
     for seed in (1, 2, 9, 11, 13, 14, 23):
         args, origins = _block(4, 1.0, seed, 1, 0, 2)
-        position, yields = _product_pass(*args)
-        done = next(yields)[1]
+        position, _ = _product_pass(*args)
         paired.clear()
         hit, indices = oracle.first_solvable_position(*args)
         run_end = np.searchsorted(position, hit, side="right")
         assert hit <= 2
         assert sum(paired) <= -(-run_end // per) * per
-        tails.add(bool(done < run_end))
         window = WeightWindow(w=9, z=4, origin=tuple(int(v) for v in origins[hit]),
                               delta_p=1.0)
         assert indices.tobytes() == oracle.enumerate_solutions(window).indices.tobytes()
-    assert tails == ({False} if survivor_block is None else {False, True})
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_enumerate_marks_what_the_network_classifies_on_the_half_edge():
+    # outputs at 0.5 exactly in real arithmetic, where rounding decides: the
+    # oracle's hidden tables are not mlp.sigmoid's, so it misses vertex 0 of
+    # the first window and marks vertex 0 of the second
+    for origin in ((-4, 0, -2, 6, 2, 4, 6, 6, 5), (-3, -1, 6, 5, 3, -4, -4, -4, -5)):
+        window = WeightWindow(w=9, z=2, origin=origin, delta_p=0.5)
+        assert np.array_equal(oracle.enumerate_solutions(window).indices,
+                              oracle.reference_enumerate(window).indices)
 
 
 def test_empty_window_yields_empty_set():
@@ -291,7 +293,7 @@ def test_oracle_rejects_non_mlp_windows():
 
 
 def _ring_batches(z, delta_p, seeds, rows_per_seed):
-    """Trainer-shaped scan input: each seed's random start window plus the
+    """Trainer-shaped windows: each seed's random start window plus the
     first rows of its shift enumeration."""
     parts = []
     for seed in seeds:
@@ -312,7 +314,7 @@ def test_scan_counts_match_direct_enumeration():
     base = np.array(SOLVABLE.origin)
     origins = np.vstack([base + rng.integers(-1, 2, size=(60, 9)),
                          rng.integers(-2, 3, size=(20, 9))])
-    counts = oracle.scan_window_counts(origins, 2, 0.5)
+    counts = interval_counts(origins, 2, 0.5)
     assert np.array_equal(counts, _exact_counts(origins, 2, 0.5))
     assert (counts > 0).any()
 
@@ -328,15 +330,15 @@ FLOAT32_MISS = (-2, 2, 6, 1, -2, -5, -3, -3, -2)
 def test_scan_counts_match_direct_enumeration_on_ring_batches(monkeypatch, z, rows_per_seed,
                                                               delta_p, pair_blocks):
     # the bound test drops most windows; the solvable ones must survive it.
-    # With 3 live blocks per pair chunk, chunks straddle the ends of the
-    # windows' runs, where the pair stage flushes its survivors
+    # With 3 live blocks per pair chunk, a window's run of live blocks spans
+    # many pair chunks and ends inside one, where the pair stage flushes its
+    # survivors
     origins = np.vstack([_ring_batches(z, delta_p, range(4), rows_per_seed),
                          FLOAT32_MISS])
-    exact = _exact_counts(origins, z, delta_p)
     if pair_blocks is not None:
         monkeypatch.setattr(oracle, "_PAIR_BLOCK", pair_blocks * z ** 4)
-    counts = oracle.scan_window_counts(origins, z, delta_p)
-    assert np.array_equal(counts, exact)
+    counts = _exact_counts(origins, z, delta_p)
+    assert np.array_equal(counts, interval_counts(origins, z, delta_p))
     assert np.count_nonzero(counts) >= 2
 
 
@@ -365,12 +367,12 @@ def _float32_interval_counts(origins, z, delta_p):
 @pytest.mark.parametrize("delta_p", (0.5, 1.0, 1.3))
 def test_scan_counts_equal_float32_interval_counts(z, rows_per_seed, delta_p):
     # float64 moved no count that float32 got right: on every ring-batch
-    # window the scan equals a float32 count over every pair, and where it
-    # departs from it (the float32-miss row at delta_p 0.5) it counts more,
-    # the enumerator's k
+    # window the float64 count equals a float32 count over every pair, and
+    # where it departs from it (the float32-miss row at delta_p 0.5) it
+    # counts more, the enumerator's k
     origins = np.vstack([_ring_batches(z, delta_p, range(4), rows_per_seed),
                          FLOAT32_MISS])
-    counts = oracle.scan_window_counts(origins, z, delta_p)
+    counts = interval_counts(origins, z, delta_p)
     f32 = _float32_interval_counts(origins, z, delta_p)
     assert np.array_equal(counts[:-1], f32[:-1])
     differ = counts != f32
@@ -382,7 +384,7 @@ def test_scan_counts_equal_float32_interval_counts(z, rows_per_seed, delta_p):
 def test_scan_counts_the_float32_miss():
     window = WeightWindow(w=9, z=3, origin=FLOAT32_MISS, delta_p=0.5)
     assert oracle.enumerate_solutions(window).k == 2
-    assert oracle.scan_window_counts(np.array([FLOAT32_MISS]), 3, 0.5)[0] == 2
+    assert interval_counts(np.array([FLOAT32_MISS]), 3, 0.5)[0] == 2
 
 
 @given(st.sampled_from((2, 3, 4)),
@@ -394,7 +396,7 @@ def test_scan_count_equals_enumerated_k(z, delta_p, offsets):
     origin = np.add(SOLVABLE.origin, offsets)
     window = WeightWindow(w=9, z=z, origin=tuple(int(x) for x in origin),
                           delta_p=delta_p)
-    count = oracle.scan_window_counts(origin[None, :], z, delta_p)
+    count = interval_counts(origin[None, :], z, delta_p)
     assert count.dtype == np.int64
     assert count[0] == oracle.enumerate_solutions(window).k
 
@@ -406,51 +408,8 @@ def test_scan_count_equals_enumerated_k(z, delta_p, offsets):
 @settings(max_examples=50, deadline=None)
 def test_scan_counts_equal_exact_counts(z, delta_p, origins):
     origins = np.array(origins)
-    assert np.array_equal(oracle.scan_window_counts(origins, z, delta_p),
+    assert np.array_equal(interval_counts(origins, z, delta_p),
                           _exact_counts(origins, z, delta_p))
-
-
-def test_scan_is_batch_size_invariant():
-    # at z=4, 97 windows span more than one table chunk and many pair blocks
-    rng = np.random.default_rng(21)
-    origins = np.array(SOLVABLE.origin) + rng.integers(-2, 3, size=(97, 9))
-    for z in (2, 4):
-        whole = oracle.scan_window_counts(origins, z, 0.5)
-        split = np.concatenate([oracle.scan_window_counts(origins[:13], z, 0.5),
-                                oracle.scan_window_counts(origins[13:], z, 0.5)])
-        assert np.array_equal(whole, split)
-        assert (whole > 0).any()
-        one_by_one = [oracle.scan_window_counts(o[None, :], z, 0.5)[0]
-                      for o in origins[:8]]
-        assert np.array_equal(whole[:8], one_by_one)
-
-
-def test_scan_validates_shape():
-    with pytest.raises(ValueError):
-        oracle.scan_window_counts(np.zeros((4, 8), dtype=np.int64), 2, 0.5)
-
-
-@pytest.mark.parametrize("origins,z,delta_p,match", [
-    (np.zeros((4, 9), dtype=np.int64), 0, 0.5, "z must be positive"),
-    (np.zeros((4, 9), dtype=np.int64), -2, 0.5, "z must be positive"),
-    (np.zeros((4, 9), dtype=np.int64), 2, 0.0, "delta_p must be finite and positive"),
-    (np.zeros((4, 9), dtype=np.int64), 2, -0.5, "delta_p must be finite and positive"),
-    (np.zeros((4, 9), dtype=np.int64), 2, float("nan"), "delta_p must be finite and positive"),
-    (np.zeros((4, 9), dtype=np.int64), 2, float("inf"), "delta_p must be finite and positive"),
-    (np.full((2, 9), 0.7), 2, 0.5, "origins must be integers"),
-    (np.zeros((2, 9)), 2, 0.5, "origins must be integers"),
-    (np.zeros((2, 9), dtype=bool), 2, 0.5, "origins must be integers"),
-    (np.full((1, 9), 10 ** 10), 2, 1e300, "window weights must be finite"),
-], ids=("z=0", "z<0", "delta_p=0", "delta_p<0", "delta_p=nan", "delta_p=inf",
-        "fractional origins", "float origins", "bool origins", "weights overflow"))
-def test_scan_validates_z_delta_p_and_origins(origins, z, delta_p, match):
-    with pytest.raises(ValueError, match=match):
-        oracle.scan_window_counts(origins, z, delta_p)
-
-
-def test_scan_of_no_windows_is_empty():
-    counts = oracle.scan_window_counts(np.zeros((0, 9), dtype=np.int64), 2, 0.5)
-    assert counts.shape == (0,) and counts.dtype == np.int64
 
 
 def test_json_round_trip():

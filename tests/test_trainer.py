@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import interval_counts
 from qwtrain import oracle, trainer
 from qwtrain.mlp import classification_error
 from qwtrain.seeding import substream
@@ -160,8 +161,9 @@ def test_find_solvable_window_matches_exhaustive_enumeration(z, seeds, max_shift
 
 
 def _first_solvable_by_scan(start, max_shifts):
-    """Naive reference search: the first nonzero scan_window_counts over the
-    iter_displacements rows, in shift order, up to max_shifts."""
+    """Naive reference search: the first nonzero brute-force count
+    (interval_counts) over the iter_displacements rows, in shift order, up
+    to max_shifts, counted 64 rows at a time."""
     sols = oracle.enumerate_solutions(start)
     if sols.k:
         return start, sols, 0
@@ -170,11 +172,13 @@ def _first_solvable_by_scan(start, max_shifts):
         if first > max_shifts:
             return None
         rows = rows[:max_shifts - first + 1]
-        hits = np.flatnonzero(oracle.scan_window_counts(origin + rows, start.z,
-                                                        start.delta_p))
-        if hits.size:
-            window = replace(start, origin=tuple(int(v) for v in origin + rows[hits[0]]))
-            return window, oracle.enumerate_solutions(window), first + int(hits[0])
+        for j in range(0, rows.shape[0], 64):
+            hits = np.flatnonzero(interval_counts(origin + rows[j:j + 64], start.z,
+                                                  start.delta_p))
+            if hits.size:
+                window = replace(start, origin=tuple(
+                    int(v) for v in origin + rows[j + hits[0]]))
+                return window, oracle.enumerate_solutions(window), first + j + int(hits[0])
 
 
 @pytest.mark.parametrize("z,delta_p,cases,survivor_block", [
@@ -190,8 +194,9 @@ def _first_solvable_by_scan(start, max_shifts):
     # first hit is 2951
     (4, 1.0, ((1, 100), (12, 100), (17, 300), (0, 50)), None),
     # with 16 survivors per pass over the output biases, the first pass that
-    # finds seed 6's hit (24, k = 176) ends after 23 of its solutions, inside
-    # the window's live blocks; seed 22's first hit is 28
+    # finds solutions of seed 6's hit (24, k = 176) finds 23 of them, inside
+    # the window's live blocks, and they are held until its run ends; seed
+    # 22's first hit is 28
     (4, 1.0, ((6, 100), (22, 20)), 16)],
     ids=("z2", "z3-0.5", "z3-1.0", "z4", "z4-survivor-flush"))
 def test_find_solvable_window_matches_the_naive_scan(monkeypatch, z, delta_p, cases,
