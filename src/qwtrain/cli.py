@@ -32,7 +32,6 @@ import math
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
@@ -168,10 +167,6 @@ def cmd_train_dry_run(cfg, out_dir):
 
 # ---------------------------------------------------------------- backprop
 
-def _one_backprop(config: mlp.BackpropConfig) -> tuple[float, int, mlp.TrainResult]:
-    return config.learning_rate, config.seed, mlp.backprop_train(config)
-
-
 def epochs_summary(results) -> dict:
     """min/mean/max/sample-std of the epoch counts."""
     epochs = [r.epochs_used for r in results]
@@ -197,20 +192,14 @@ def backprop_summary(results) -> str:
 def cmd_backprop(cfg, out_dir):
     if cfg["runs"] < 0:
         raise ValueError("runs must be non-negative")
-    if cfg["jobs"] < 1:
-        raise ValueError("jobs must be at least 1")
     first = mlp.BackpropConfig(learning_rate=cfg["lr"], seed=cfg["seed"])
-    tasks = [replace(first, seed=first.seed + i) for i in range(cfg["runs"])]
-    if cfg["jobs"] > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            rows = list(pool.map(_one_backprop, tasks))
-    else:
-        rows = [_one_backprop(t) for t in tasks]
+    results = [mlp.backprop_train(replace(first, seed=first.seed + i))
+               for i in range(cfg["runs"])]
     out = os.path.join(out_dir, cfg["out"])
-    mlp.export_train_results(rows, out)
-    if not rows:
+    mlp.export_train_results([(first.learning_rate, first.seed + i, r)
+                              for i, r in enumerate(results)], out)
+    if not results:
         return [out], f"backprop: 0 runs -> {out}"
-    results = [r for _, _, r in rows]
     s = epochs_summary(results)
     with open(out, "a", newline="") as fh:
         fh.write(f"summary,min={s['min']},mean={s['mean']:.2f},"
@@ -269,7 +258,7 @@ SUBCOMMANDS = (
                 "out": "train_result.json"}, cmd_train,
                manifest=lambda cfg: os.path.splitext(cfg["out"])[0] + ".manifest.json"),
     Subcommand("backprop", "backpropagation baseline runs CSV",
-               {"lr": 0.5, "runs": 100, "seed": 0, "out": "backprop.csv", "jobs": 1},
+               {"lr": 0.5, "runs": 100, "seed": 0, "out": "backprop.csv"},
                cmd_backprop),
     Subcommand("reproduce", "compute and judge acceptance criteria 1-5, 7 and 9",
                {}, cmd_reproduce,

@@ -22,9 +22,9 @@ block is a product: the a side (weights 0-2 and 6), the b side (3-5 and 7)
 and the output bias (8) each depend on their own digits, so the oracle
 bounds the block from per-key tables and returns its first solvable window
 with that window's solution indices (first_solvable_position), from the same
-exact kernel that enumerates windows. The trainer then ranks that position
-among the ring's accepted positions for its shift index and decodes that one
-position's displacement; no other window is decoded or enumerated.
+exact kernel that enumerates windows. The trainer then takes that
+position's shift index and window from weight_space's shift codec
+(shift_index_at, ring_window); no other window is decoded or enumerated.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
@@ -46,7 +46,7 @@ from .oracle import (KEY_DIMS, SolutionSet, enumerate_solutions,
 from .seeding import substream
 from .weight_space import (WeightWindow, index_to_weights, random_window,
                            require_finite_weights, ring_block_keys,
-                           ring_displacement, ring_rank, ring_size,
+                           ring_of_shift, ring_window, shift_index_at,
                            to_descriptor, window_size)
 from . import mlp
 
@@ -123,9 +123,9 @@ _BLOCK_VERTICES = 1 << 23  # vertices in a block of the search, at most
 
 def _ring_blocks(w: int, z: int, cap: int):
     """The blocks that cover the shift enumeration up to shift index cap, in
-    order: (ring r, shift index of the ring's first window, counter position
-    of the block's start, free low digits m). Ring 1's first block, which
-    holds the start window (shift 0), comes at any cap.
+    order: (ring r, counter position of the block's start, free low digits
+    m). Ring 1's first block, which holds the start window (shift 0), comes
+    at any cap.
 
     The largest block of ring r has the most free digits, at least one, whose
     b^m windows (b = 2r+1) hold at most _BLOCK_VERTICES vertices. A ring's
@@ -134,7 +134,6 @@ def _ring_blocks(w: int, z: int, cap: int):
     start, so they grow by powers of b up to the largest. A block that would
     run past the cap shrinks, down to the first block's size.
     """
-    ring_first = 1
     for r in count(1):
         base = 2 * r + 1
         most = 1
@@ -143,7 +142,7 @@ def _ring_blocks(w: int, z: int, cap: int):
         first_m = max(1, most - 2)
         position = 0
         while position < base ** w:
-            if _shift_index(w, r, ring_first, position) > cap:
+            if shift_index_at(w, r, position) > cap:
                 return
             m = first_m
             if position:
@@ -151,29 +150,10 @@ def _ring_blocks(w: int, z: int, cap: int):
                 while position % base ** (m + 1) == 0:
                     m += 1
                 m = min(m, most)
-            while m > first_m and ring_first + ring_rank(w, r, position + base ** m) > cap + 1:
+            while m > first_m and shift_index_at(w, r, position + base ** m) > cap + 1:
                 m -= 1
-            yield r, ring_first, position, m
+            yield r, position, m
             position += base ** m
-        ring_first += ring_size(w, r)
-
-
-def _ring_of(w: int, shift_index: int) -> int:
-    """Ring of a shift index; 0 for the unshifted window."""
-    r, ring_first = 0, 1
-    while shift_index >= ring_first:
-        r += 1
-        ring_first += ring_size(w, r)
-    return r
-
-
-def _shift_index(w: int, r: int, ring_first: int, position: int) -> int:
-    """Shift index of a counter position of ring r, or of the first accepted
-    one after it for an inner-cube position. Ring 1's position 0, the zero
-    displacement, is the start window: shift 0."""
-    if (r, position) == (1, 0):
-        return 0
-    return ring_first + ring_rank(w, r, position)
 
 
 def _block_keys(origin: np.ndarray, z: int, r: int, position: int, m: int):
@@ -195,7 +175,7 @@ def find_solvable_window(start: WeightWindow, config: TrainerConfig
     require_enumerable(start)
     w, z, cap, delta_p = start.w, start.z, config.max_window_shifts, start.delta_p
     origin = np.asarray(start.origin, dtype=np.int64)
-    for r, ring_first, position, m in _ring_blocks(w, z, cap):
+    for r, position, m in _ring_blocks(w, z, cap):
         coords, offsets = _block_keys(origin, z, r, position, m)
         try:
             require_finite_weights(delta_p, [int(f(x)) for x in coords
@@ -215,13 +195,12 @@ def find_solvable_window(start: WeightWindow, config: TrainerConfig
         # inner-cube positions past ring 1's first are windows of earlier
         # rings, all barren, so the first solvable one is on ring r
         first = position + found[0]
-        shift = _shift_index(w, r, ring_first, first)
+        shift = shift_index_at(w, r, first)
         if shift > cap:
             break
-        window = start if shift == 0 else replace(start, origin=tuple(
-            int(v) for v in origin + ring_displacement(w, z, r, first)))
+        window = start if shift == 0 else ring_window(start, r, first)
         return window, SolutionSet(window=window, indices=found[1]), shift
-    raise NoSolutionError(start, cap, config.seed, cap, _ring_of(w, cap))
+    raise NoSolutionError(start, cap, config.seed, cap, ring_of_shift(w, cap))
 
 
 def sample_vertex(outcome: str, solutions: SolutionSet, window: WeightWindow,

@@ -17,10 +17,15 @@ per-dimension displacement values ordered 0, +z, -z, +2z, -2z, ...; tuples
 whose Chebyshev norm is below the ring radius are skipped (they belong to an
 earlier ring). shift_index 0 is the unshifted window, shift_index 1 displaces
 by (z, 0, ..., 0), and distinct indices give disjoint windows.
+
+Rings 1..r-1 hold (2r-1)^w - 1 shifts, so ring r's first shift index is
+(2r-1)^w: shift_index_at, ring_of_shift and shift_window convert between a
+shift index and a (ring, counter position) pair from that closed form.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -28,8 +33,6 @@ from typing import Iterator
 import numpy as np
 
 from .seeding import substream
-
-_RING_SLICE = 1 << 16  # raw counter positions decoded per numpy pass
 
 
 @dataclass(frozen=True)
@@ -206,30 +209,43 @@ def iter_displacements(w: int, z: int, batch: int = 8192) -> Iterator[tuple[int,
         r += 1
 
 
+def shift_index_at(w: int, r: int, position: int) -> int:
+    """Shift index of a counter position of ring r, or of the first accepted
+    one after it for an inner-cube position. Ring 1's position 0, the zero
+    displacement, is the unshifted window: shift 0."""
+    if (r, position) == (1, 0):
+        return 0
+    return (2 * r - 1) ** w + ring_rank(w, r, position)
+
+
+def ring_of_shift(w: int, shift_index: int) -> int:
+    """Ring of a shift index: the smallest r with (2r+1)^w > shift_index, so
+    0 for the unshifted window."""
+    r = 0
+    while (2 * r + 1) ** w <= shift_index:
+        r += 1
+    return r
+
+
+def ring_window(window: WeightWindow, r: int, position: int) -> WeightWindow:
+    """The window displaced by counter position `position` of ring r."""
+    disp = ring_displacement(window.w, window.z, r, position)
+    return replace(window, origin=tuple(int(o + d) for o, d in zip(window.origin, disp)))
+
+
 def shift_window(window: WeightWindow, shift_index: int) -> WeightWindow:
     """The window at position `shift_index` of the ring enumeration."""
     if shift_index < 0:
         raise ValueError("shift_index must be non-negative")
     if shift_index == 0:
         return window
-    j = shift_index
-    r = 1
-    while j > ring_size(window.w, r):
-        j -= ring_size(window.w, r)
-        r += 1
-    base = 2 * r + 1
-    total = base ** window.w
-    lo = 0
-    while lo < total:
-        hi = min(lo + _RING_SLICE, total)
-        rows = _ring_block(window.w, window.z, r, lo, hi)
-        if j <= rows.shape[0]:
-            disp = rows[j - 1]
-            origin = tuple(int(o + d) for o, d in zip(window.origin, disp))
-            return replace(window, origin=origin)
-        j -= rows.shape[0]
-        lo = hi
-    raise AssertionError("ring enumeration exhausted early")  # unreachable
+    w = window.w
+    r = ring_of_shift(w, shift_index)
+    # the accepted position of this rank is the last one with no more below it
+    rank = shift_index - (2 * r - 1) ** w
+    position = bisect.bisect_right(range((2 * r + 1) ** w), rank,
+                                   key=lambda p: ring_rank(w, r, p)) - 1
+    return ring_window(window, r, position)
 
 
 def random_window(w: int, z: int, delta_p: float, seed: int) -> WeightWindow:

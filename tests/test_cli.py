@@ -170,8 +170,6 @@ def test_int_config_value_for_a_float_key_matches_the_flag(tmp_path):
     # 15,707,963,268 steps: the trace is refused before it is built
     ["walkc", "--n-vertices", "100000000000000000000", "--solutions", "1"],
     ["train", "--max-shifts", "-5"],
-    ["backprop", "--jobs", "-3"],
-    ["backprop", "--jobs", "0"],
     ["backprop", "--runs", "-1"],
     ["train", "--seed", "-1"],
     ["backprop", "--seed", "-1"],
@@ -213,11 +211,13 @@ def test_train_dry_run_prints_steps_without_outputs(tmp_path, capsys):
 
 def test_dropped_options_are_unknown_keys(tmp_path, capsys):
     # train's weight count is fixed at 9, the walks draw no random numbers,
-    # and reproduce runs the criteria at their reference run sizes
+    # reproduce runs the criteria at their reference run sizes, and backprop
+    # runs its seeds in one process
     out_dir = tmp_path / "out"
     for subcommand, key in (("train", "w"), ("walk1d", "seed"), ("walknd", "seed"),
                             ("walkc", "seed"), ("reproduce", "seed"),
-                            ("reproduce", "max_shifts"), ("reproduce", "train_runs")):
+                            ("reproduce", "max_shifts"), ("reproduce", "train_runs"),
+                            ("backprop", "jobs")):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 9}))
         with pytest.raises(SystemExit) as e:
@@ -225,7 +225,8 @@ def test_dropped_options_are_unknown_keys(tmp_path, capsys):
         assert e.value.code == 1
         assert "unknown config keys" in capsys.readouterr().err
     for args in (["train", "--w", "9"], ["reproduce", "--seed", "500"],
-                 ["reproduce", "--train-runs", "2"], ["reproduce", "--max-shifts", "100"]):
+                 ["reproduce", "--train-runs", "2"], ["reproduce", "--max-shifts", "100"],
+                 ["backprop", "--jobs", "2"]):
         with pytest.raises(SystemExit) as e:
             run(args + ["--out-dir", str(out_dir)])
         assert e.value.code == 1

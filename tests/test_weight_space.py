@@ -203,6 +203,7 @@ def test_ring_rank_and_displacement_follow_the_enumeration(w, r):
     # shift index = the ring's first index + rank; displacement = the row
     # iter_displacements gives that index; inner-cube positions are refused
     z, base = 2, 2 * r + 1
+    win = _win(w=w, z=z, origin=tuple(range(w)))
     first = 1 + sum(ws.ring_size(w, q) for q in range(1, r))
     rows = {}
     for index, batch in ws.iter_displacements(w, z, batch=64):
@@ -219,4 +220,40 @@ def test_ring_rank_and_displacement_follow_the_enumeration(w, r):
             continue
         assert ws.ring_rank(w, r, p) == p - inner
         assert tuple(int(v) for v in ws.ring_displacement(w, z, r, p)) == rows[first + p - inner]
+        index = ws.shift_index_at(w, r, p)
+        assert index == first + p - inner
+        assert ws.ring_of_shift(w, index) == r
+        assert ws.shift_window(win, index).origin == tuple(
+            o + d for o, d in zip(win.origin, rows[index]))
     assert ws.ring_rank(w, r, base ** w) == ws.ring_size(w, r)
+
+
+def test_shift_window_follows_the_enumeration_at_w9():
+    # ring 1 ends at shift 3^9 - 1 = 19682 and ring 2 at 5^9 - 1 = 1953124
+    win = _win(origin=(1, -2, 0, 3, -1, 2, 0, -3, 1))
+    shifts = (1, 2, 19682, 19683, 19684, 100000, 1953124)
+    rows = {}
+    for index, batch in ws.iter_displacements(9, 2, batch=1 << 16):
+        rows.update((i, batch[i - index]) for i in shifts if index <= i < index + len(batch))
+        if len(rows) == len(shifts):
+            break
+    for i in shifts:
+        assert ws.shift_window(win, i).origin == tuple(
+            int(o + d) for o, d in zip(win.origin, rows[i]))
+    assert [ws.ring_of_shift(9, i) for i in (0, *shifts)] == [0, 1, 1, 1, 2, 2, 2, 2]
+
+
+@given(st.data(), st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=2, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_shift_window_inverts_the_shift_index(data, w, r, z):
+    # an accepted position has a digit of 2r-1 or 2r somewhere
+    base = 2 * r + 1
+    digits = data.draw(st.lists(st.integers(0, 2 * r), min_size=w, max_size=w))
+    digits[data.draw(st.integers(0, w - 1))] = data.draw(st.sampled_from((2 * r - 1, 2 * r)))
+    position = sum(d * base ** j for j, d in enumerate(digits))
+    win = _win(w=w, z=z, origin=tuple(data.draw(st.lists(
+        st.integers(-5, 5), min_size=w, max_size=w))))
+    index = ws.shift_index_at(w, r, position)
+    assert ws.ring_of_shift(w, index) == r
+    assert ws.shift_window(win, index) == ws.ring_window(win, r, position)
