@@ -170,6 +170,9 @@ def test_int_config_value_for_a_float_key_matches_the_flag(tmp_path):
     # 15,707,963,268 steps: the trace is refused before it is built
     ["walkc", "--n-vertices", "100000000000000000000", "--solutions", "1"],
     ["train", "--max-shifts", "-5"],
+    # backprop has no --jobs option: a bad worker count is refused as an unknown flag
+    ["backprop", "--jobs", "-3"],
+    ["backprop", "--jobs", "0"],
     ["backprop", "--runs", "-1"],
     ["train", "--seed", "-1"],
     ["backprop", "--seed", "-1"],
