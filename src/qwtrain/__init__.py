@@ -24,7 +24,6 @@ from .coined_walk import (
 )
 from .lackadaisical_walk import (
     OUTCOME_LABELS,
-    ROUNDING_MODES,
     Angles,
     WalkParams,
     angles,
@@ -80,7 +79,6 @@ __all__ = [
     "ExperimentResult",
     "NoSolutionError",
     "OUTCOME_LABELS",
-    "ROUNDING_MODES",
     "SolutionSet",
     "TrainResult",
     "TrainerConfig",

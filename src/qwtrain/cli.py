@@ -3,7 +3,7 @@
 Subcommands: walk1d, walknd, walkc, train, backprop, reproduce. Each is one
 entry of `SUBCOMMANDS`: a defaults table, a body and a manifest name. Every
 flag is generated from a defaults key (`--key-with-dashes`, typed like its
-default, choices from `CHOICES`); only `train --dry-run` is written by hand.
+default, choices from `CHOICES`); no flag is written by hand.
 
 One harness in `main` runs every subcommand, in this order:
 
@@ -16,7 +16,7 @@ One harness in `main` runs every subcommand, in this order:
 5. write the manifest JSON next to the outputs, recording the subcommand,
    the fully resolved config, the seed, the tool version and the output
    paths, so any output can be regenerated bit-identically; then print the
-   summary. A body that writes no outputs (a dry run) writes no manifest.
+   summary.
 
 Exit codes: 0 success; 1 usage error (bad flag, unreadable or invalid config
 file, or a value the body rejects with ValueError); 2 runtime failure (no
@@ -36,16 +36,15 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 from . import __version__, coined_walk, criteria, mlp, oracle, trainer
-from .lackadaisical_walk import (ROUNDING_MODES, WalkParams, export_trace,
+from .lackadaisical_walk import (WalkParams, export_trace,
                                  iter_probability_trace, steps_to_max)
-from .weight_space import window_size
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
 
 OUT_DIR_ENV = "QWTRAIN_OUT"
 
-CHOICES = {"init": ("asymmetric", "symmetric"), "rounding": ROUNDING_MODES}
+CHOICES = {"init": ("asymmetric", "symmetric")}
 
 
 @dataclass
@@ -120,7 +119,7 @@ def cmd_walknd(cfg, out_dir):
 
 def cmd_walkc(cfg, out_dir):
     params = WalkParams(N=cfg["n_vertices"], k=cfg["solutions"], l=cfg["self_loops"])
-    t_real, t_int = steps_to_max(params, cfg["rounding"])
+    t_real, t_int = steps_to_max(params)
     out = os.path.join(out_dir, cfg["out"])
     final = export_trace(iter_probability_trace(params, t_int), out)
     return [out], (f"walkc: N={params.N} k={params.k} l={params.l}, "
@@ -130,15 +129,10 @@ def cmd_walkc(cfg, out_dir):
 
 # ---------------------------------------------------------------- train
 
-def _trainer_config(cfg) -> trainer.TrainerConfig:
-    return trainer.TrainerConfig(
-        delta_p=cfg["delta_p"], z=cfg["z"], l=cfg["self_loops"], seed=cfg["seed"],
-        rounding=cfg["rounding"], max_window_shifts=cfg["max_shifts"],
-        count_noise=cfg["count_noise"])
-
-
 def cmd_train(cfg, out_dir):
-    result = trainer.train(_trainer_config(cfg))
+    result = trainer.train(trainer.TrainerConfig(
+        delta_p=cfg["delta_p"], z=cfg["z"], l=cfg["self_loops"], seed=cfg["seed"],
+        max_window_shifts=cfg["max_shifts"]))
     out = os.path.join(out_dir, cfg["out"])
     with open(out, "w") as fh:
         fh.write(trainer.result_to_json(result))
@@ -153,16 +147,6 @@ def cmd_train(cfg, out_dir):
         f"t={result.t_int}, outcome {result.outcome}, "
         f"classification error {result.classification_error}, "
         f"{result.shifts_performed} shifts -> {out}")
-
-
-def cmd_train_dry_run(cfg, out_dir):
-    config = _trainer_config(cfg)
-    start = trainer.random_window(mlp.N_WEIGHTS, config.z, config.delta_p, config.seed)
-    window, sols, shifts = trainer.find_solvable_window(start, config)
-    params = WalkParams(N=window_size(window), k=sols.k, l=config.l)
-    t_real, t_int = steps_to_max(params, config.rounding)
-    return [], (f"train (dry run): window origin {window.origin} after {shifts} shifts, "
-                f"k={sols.k}, N={params.N}, t_real={t_real:.2f}, t_int={t_int}")
 
 
 # ---------------------------------------------------------------- backprop
@@ -251,11 +235,10 @@ SUBCOMMANDS = (
                {"steps": 20, "dims": 2, "out": "walknd.csv"}, cmd_walknd),
     Subcommand("walkc", "complete-graph walk probability trace CSV",
                {"n_vertices": 512, "solutions": 12, "self_loops": 1,
-                "rounding": "ceiling", "out": "walkc.csv"}, cmd_walkc),
+                "out": "walkc.csv"}, cmd_walkc),
     Subcommand("train", "run the quantum-walk weight search",
                {"delta_p": 0.5, "z": 2, "self_loops": 1, "seed": 0,
-                "rounding": "ceiling", "max_shifts": 10000, "count_noise": 0.0,
-                "out": "train_result.json"}, cmd_train,
+                "max_shifts": 10000, "out": "train_result.json"}, cmd_train,
                manifest=lambda cfg: os.path.splitext(cfg["out"])[0] + ".manifest.json"),
     Subcommand("backprop", "backpropagation baseline runs CSV",
                {"lr": 0.5, "runs": 100, "seed": 0, "out": "backprop.csv"},
@@ -277,17 +260,12 @@ def build_parser() -> _Parser:
     common.add_argument("--out-dir", help=f"output directory "
                         f"(default: ${OUT_DIR_ENV} or current directory)")
 
-    subparsers = {}
     for command in SUBCOMMANDS:
         p = sub.add_parser(command.name, parents=[common], help=command.help)
         for key, default in command.defaults.items():
             p.add_argument("--" + key.replace("_", "-"), type=type(default),
                            choices=CHOICES.get(key))
-        p.set_defaults(command=command, body=command.body)
-        subparsers[command.name] = p
-    subparsers["train"].add_argument(
-        "--dry-run", dest="body", action="store_const", const=cmd_train_dry_run,
-        default=cmd_train, help="find the window and print the step count; write no outputs")
+        p.set_defaults(command=command)
     return parser
 
 
@@ -299,12 +277,11 @@ def main(argv=None) -> int:
         cfg = _resolve(ns, command.defaults)
         out_dir = ns.out_dir or os.environ.get(OUT_DIR_ENV, ".")
         os.makedirs(out_dir, exist_ok=True)
-        outputs, summary = ns.body(cfg, out_dir)
-        if outputs:
-            manifest = RunManifest(command.name, cfg, cfg.get("seed"), __version__, outputs)
-            with open(os.path.join(out_dir, command.manifest(cfg)), "w") as fh:
-                json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        outputs, summary = command.body(cfg, out_dir)
+        manifest = RunManifest(command.name, cfg, cfg.get("seed"), __version__, outputs)
+        with open(os.path.join(out_dir, command.manifest(cfg)), "w") as fh:
+            json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except (oracle.WindowTooLarge, trainer.NoSolutionError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return RUNTIME_ERROR

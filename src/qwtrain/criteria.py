@@ -87,7 +87,7 @@ def step_counts() -> Criterion:
     t0 = time.perf_counter()
     checks, rows = [], []
     for ref in reference.STEPS:
-        t_real, t_int = steps_to_max(WalkParams(N=ref.N, k=ref.k, l=1), "ceiling")
+        t_real, t_int = steps_to_max(WalkParams(N=ref.N, k=ref.k, l=1))
         ok = abs(t_real - ref.t_real) <= ref.tol and t_int == ref.t_int
         checks.append(Check(f"t({ref.N}, {ref.k})", ok,
                             f"{t_real:.2f} against {ref.t_real} within {ref.tol}; "
@@ -237,7 +237,7 @@ def large_window() -> Criterion:
     digest = hashlib.sha256(sols.indices.astype("<i8").tobytes()).hexdigest()
     t_int, marked = 0, 0.0
     if sols.k:  # a walk needs a marked vertex
-        t_int = steps_to_max(WalkParams(N=n, k=sols.k, l=1), "ceiling")[1]
+        t_int = steps_to_max(WalkParams(N=n, k=sols.k, l=1))[1]
         p = outcome_probabilities(_evolved(n, sols.k, t_int))
         marked = float(p[0] + p[1])
     wall = time.perf_counter() - t0

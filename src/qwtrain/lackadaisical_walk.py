@@ -27,8 +27,6 @@ import numpy as np
 
 OUTCOME_LABELS = ("AA", "AB", "BA", "BB")
 
-ROUNDING_MODES = ("floor", "ceiling", "nearest")
-
 MAX_TRACE_STEPS = 10 ** 6  # rows of a probability trace, at most
 
 
@@ -105,23 +103,15 @@ def initial_state(params: WalkParams) -> np.ndarray:
     return v / math.sqrt(total)
 
 
-def steps_to_max(params: WalkParams, rounding: str = "ceiling") -> tuple[float, int]:
+def steps_to_max(params: WalkParams) -> tuple[float, int]:
     """Step count where the marked-state probability peaks.
 
-    Returns (t_real, t_int). t_real = pi*sqrt(N)/sqrt(2(2k+l-1)); t_int rounds
-    it per `rounding` (floor, ceiling, or nearest), ceiling by default.
+    Returns (t_real, t_int). t_real = pi*sqrt(N)/sqrt(2(2k+l-1)); t_int is its
+    ceiling, as in the paper's table of simulated step counts.
     """
-    if rounding not in ROUNDING_MODES:
-        raise ValueError(f"rounding must be one of {ROUNDING_MODES}, got {rounding!r}")
     N, k, l = params.N, params.k, params.l
     t_real = math.pi * math.sqrt(N) / math.sqrt(2.0 * (2 * k + l - 1))
-    if rounding == "floor":
-        t_int = math.floor(t_real)
-    elif rounding == "ceiling":
-        t_int = math.ceil(t_real)
-    else:
-        t_int = math.floor(t_real + 0.5)
-    return t_real, t_int
+    return t_real, math.ceil(t_real)
 
 
 def evolve(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:

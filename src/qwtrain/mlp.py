@@ -32,6 +32,8 @@ XOR_TARGETS = (0.0, 1.0, 1.0, 0.0)
 
 N_WEIGHTS = 9
 
+INIT_RANGE = 1.0  # initial weights are uniform on [-INIT_RANGE, INIT_RANGE]
+
 STAGNATION_EPS = 1e-12
 
 
@@ -171,7 +173,6 @@ class BackpropConfig:
     learning_rate: float = 0.5
     max_epochs: int = 150000
     stagnation_window: int = 1000
-    init_range: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -185,8 +186,6 @@ class BackpropConfig:
             raise ValueError("max_epochs must be at least 1")
         if self.stagnation_window < 1:
             raise ValueError("stagnation_window must be at least 1")
-        if not (math.isfinite(self.init_range) and self.init_range > 0):
-            raise ValueError("init_range must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -200,9 +199,9 @@ class TrainResult:
 
 
 def init_weights(config: BackpropConfig) -> np.ndarray:
-    """Uniform init on [-init_range, init_range] from the backprop substream."""
+    """Uniform init on [-INIT_RANGE, INIT_RANGE] from the backprop substream."""
     rng = substream(config.seed, "backprop-init")
-    return rng.uniform(-config.init_range, config.init_range, N_WEIGHTS)
+    return rng.uniform(-INIT_RANGE, INIT_RANGE, N_WEIGHTS)
 
 
 def backprop_train(config: BackpropConfig) -> TrainResult:

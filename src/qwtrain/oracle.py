@@ -410,11 +410,6 @@ def enumerate_solutions(window: WeightWindow) -> SolutionSet:
                        if found is None else found[1])
 
 
-def to_json(s: SolutionSet) -> str:
-    return json.dumps({"window": to_descriptor(s.window), "k": s.k,
-                       "indices": [int(i) for i in s.indices]})
-
-
 def _loads(text):
     try:
         return json.loads(text)
@@ -439,21 +434,6 @@ def _checked_indices(idx: np.ndarray, window: WeightWindow) -> np.ndarray:
         raise ValueError("solution indices must be strictly increasing "
                          "and within [0, window size)")
     return idx.astype(np.int64)
-
-
-def from_json(text: str) -> SolutionSet:
-    """Inverse of to_json; ValueError for any malformed document."""
-    d = _loads(text)
-    if not isinstance(d, dict) or not {"window", "indices"} <= d.keys():
-        raise ValueError("a solution set needs 'window' and 'indices'")
-    raw = d["indices"]
-    if not isinstance(raw, list) or any(type(i) is not int for i in raw):
-        raise ValueError("indices must be a list of integers")
-    if "k" in d and d["k"] != len(raw):
-        raise ValueError("k does not match the index list")
-    window = _window_from(d["window"])
-    return SolutionSet(window=window,
-                       indices=_checked_indices(np.array(raw, dtype=object), window))
 
 
 def write_binary(s: SolutionSet, path) -> None:

@@ -23,8 +23,8 @@ class StepsRow:
     k: int
     t_real: float  # reference optimal step count
     tol: float     # allowed |computed - reference|
-    t_int: int     # reference simulated step count, ceiling rounding
-    note: str = ""  # why the tolerance is wider than the table's rounding
+    t_int: int     # reference simulated step count, the ceiling of t
+    note: str = ""  # why the tolerance is wider than the table's 0.01
     t_formula: float | None = None  # the formula's own value where it departs
                                     # from t_real, pinned to the table's 0.01
 
@@ -52,8 +52,8 @@ STEPS = (
     StepsRow(262144, 17, 195.83, 1.0, 196, note=(
         "for (N=262144, k=17) the step formula gives 195.06 while the "
         "reference table lists 195.83; the computed value is reported and the "
-        "reference treated as a documented discrepancy. Ceiling rounding still "
-        "reproduces the simulated step count 196."), t_formula=195.06),
+        "reference treated as a documented discrepancy. The ceiling of 195.06 "
+        "still gives the simulated step count 196."), t_formula=195.06),
     StepsRow(262144, 20, 179.83, 0.01, 180),
     StepsRow(134217728, 80295, 64.22, 0.01, 65),
 )

@@ -37,8 +37,8 @@ from itertools import count
 
 import numpy as np
 
-from .lackadaisical_walk import (OUTCOME_LABELS, ROUNDING_MODES, WalkParams,
-                                 angles, build_operator, evolve, initial_state,
+from .lackadaisical_walk import (OUTCOME_LABELS, WalkParams, angles,
+                                 build_operator, evolve, initial_state,
                                  outcome_probabilities, sample_outcome,
                                  steps_to_max)
 from .oracle import (KEY_DIMS, SolutionSet, enumerate_solutions,
@@ -57,9 +57,7 @@ class TrainerConfig:
     z: int = 2
     l: int = 1
     seed: int = 0
-    rounding: str = "ceiling"
     max_window_shifts: int = 10000
-    count_noise: float = 0.0  # stddev of relative noise on the counted k
 
     def __post_init__(self):
         for name in ("z", "l", "seed", "max_window_shifts"):
@@ -72,10 +70,6 @@ class TrainerConfig:
             raise ValueError("z must be at least 2")
         if self.l < 1:
             raise ValueError("l must be >= 1")
-        if self.rounding not in ROUNDING_MODES:
-            raise ValueError(f"rounding must be one of {ROUNDING_MODES}")
-        if not (math.isfinite(self.count_noise) and self.count_noise >= 0):
-            raise ValueError("count_noise must be finite and >= 0")
         if self.max_window_shifts < 0:
             raise ValueError("max_window_shifts must be >= 0")
         if self.seed < 0:
@@ -234,16 +228,8 @@ def train(config: TrainerConfig) -> ExperimentResult:
 
     n = window_size(window)
     k = solutions.k
-    k_for_steps = k
-    if config.count_noise > 0.0:
-        # emulate an approximate quantum count: the noisy estimate only feeds
-        # the step formula, the walk itself still has k marked vertices
-        noisy = k * (1.0 + config.count_noise * rng.standard_normal())
-        k_for_steps = int(min(max(round(noisy), 1), n - 1))
-
     params = WalkParams(N=n, k=k, l=config.l)
-    t_real, t_int = steps_to_max(WalkParams(N=n, k=k_for_steps, l=config.l),
-                                 config.rounding)
+    t_real, t_int = steps_to_max(params)
     state = evolve(initial_state(params), build_operator(angles(params)), t_int)
     outcome = sample_outcome(state, rng)
     vertex = sample_vertex(outcome, solutions, window, rng)

@@ -261,6 +261,12 @@ def to_descriptor(window: WeightWindow) -> dict:
 
 
 def from_descriptor(d: dict) -> WeightWindow:
-    return WeightWindow(w=int(d["w"]), z=int(d["z"]),
-                        origin=tuple(int(v) for v in d["origin"]),
-                        delta_p=float(d["delta_p"]))
+    """Inverse of to_descriptor. ValueError unless w, z and every origin entry
+    are ints and delta_p is an int or a float: no field is coerced, so a
+    descriptor reads back as the window it was written from or not at all."""
+    origin = tuple(d["origin"])
+    if any(type(v) is not int for v in (d["w"], d["z"], *origin)):
+        raise ValueError("w, z and the origin entries must be integers")
+    if type(d["delta_p"]) not in (int, float):
+        raise ValueError(f"delta_p must be a number, got {d['delta_p']!r}")
+    return WeightWindow(w=d["w"], z=d["z"], origin=origin, delta_p=float(d["delta_p"]))

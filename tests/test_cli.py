@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import tracemalloc
@@ -123,10 +124,8 @@ def test_config_file_unknown_key(tmp_path):
     ("walk1d", '{"steps": true}', "steps must be of type int, got True"),
     ("walk1d", '{"steps": 2.0}', "steps must be of type int, got 2.0"),
     ("walk1d", '{"init": "sideways"}', "init must be one of"),
-    ("walkc", '{"rounding": "up"}', "rounding must be one of"),
     ("train", '{"z": null}', "z must be of type int, got None"),
     ("train", '{"delta_p": "0.5"}', "delta_p must be of type float"),
-    ("train", '{"count_noise": false}', "count_noise must be of type float"),
     ("backprop", '{"lr": NaN}', "lr must be finite"),
     ("train", '{"delta_p": 1' + "0" * 400 + '}', "delta_p must be finite"),
 ])
@@ -204,23 +203,17 @@ def test_train_writes_result_and_row_csvs(tmp_path):
     assert len(manifest["outputs"]) == 3
 
 
-def test_train_dry_run_prints_steps_without_outputs(tmp_path, capsys):
-    assert run(["train", "--seed", "2", "--dry-run",
-                "--out-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "t_int" in out and "N=512" in out
-    assert not (tmp_path / "train_result.json").exists()
-
-
 def test_dropped_options_are_unknown_keys(tmp_path, capsys):
     # train's weight count is fixed at 9, the walks draw no random numbers,
-    # reproduce runs the criteria at their reference run sizes, and backprop
-    # runs its seeds in one process
+    # reproduce runs the criteria at their reference run sizes, backprop
+    # runs its seeds in one process, the step count is always the ceiling of
+    # the formula on the exact k, and every train run writes its outputs
     out_dir = tmp_path / "out"
     for subcommand, key in (("train", "w"), ("walk1d", "seed"), ("walknd", "seed"),
                             ("walkc", "seed"), ("reproduce", "seed"),
                             ("reproduce", "max_shifts"), ("reproduce", "train_runs"),
-                            ("backprop", "jobs")):
+                            ("backprop", "jobs"), ("train", "rounding"),
+                            ("train", "count_noise"), ("walkc", "rounding")):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 9}))
         with pytest.raises(SystemExit) as e:
@@ -229,11 +222,23 @@ def test_dropped_options_are_unknown_keys(tmp_path, capsys):
         assert "unknown config keys" in capsys.readouterr().err
     for args in (["train", "--w", "9"], ["reproduce", "--seed", "500"],
                  ["reproduce", "--train-runs", "2"], ["reproduce", "--max-shifts", "100"],
-                 ["backprop", "--jobs", "2"]):
+                 ["backprop", "--jobs", "2"], ["train", "--dry-run"],
+                 ["train", "--rounding", "floor"], ["train", "--count-noise", "0.1"],
+                 ["walkc", "--rounding", "nearest"]):
         with pytest.raises(SystemExit) as e:
             run(args + ["--out-dir", str(out_dir)])
         assert e.value.code == 1
     assert not out_dir.exists()
+
+
+def test_every_flag_comes_from_a_defaults_key():
+    (subparsers,) = (a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    for command in cli.SUBCOMMANDS:
+        parser = subparsers.choices[command.name]
+        flags = {s for action in parser._actions for s in action.option_strings}
+        assert flags == {"-h", "--help", "--config", "--out-dir"} | {
+            "--" + key.replace("_", "-") for key in command.defaults}, command.name
 
 
 def test_train_no_solution_is_a_runtime_error(tmp_path, capsys):

@@ -85,13 +85,8 @@ def test_steps_to_max_values_and_rounding():
     assert t_real == pytest.approx(math.pi * math.sqrt(512.0 / 48.0), abs=1e-12)
     assert t_real == pytest.approx(10.2604, abs=5e-4)
     assert t_int == 11
-    assert lw.steps_to_max(lw.WalkParams(N=512, k=12, l=1), "floor")[1] == 10
-    assert lw.steps_to_max(lw.WalkParams(N=512, k=12, l=1), "nearest")[1] == 10
-    # nearest = floor(x + 0.5); x = 3.1416 for the toy -> 3
-    assert lw.steps_to_max(lw.WalkParams(N=8, k=2, l=1), "nearest")[1] == 3
-    assert lw.steps_to_max(lw.WalkParams(N=8, k=2, l=1), "ceiling")[1] == 4
-    with pytest.raises(ValueError):
-        lw.steps_to_max(lw.WalkParams(N=8, k=2, l=1), "round")
+    # the step count is the ceiling: x = 3.1416 for the toy -> 4
+    assert lw.steps_to_max(lw.WalkParams(N=8, k=2, l=1))[1] == 4
 
 
 def test_evolve_applies_exact_step_count():
