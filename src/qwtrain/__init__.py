@@ -13,12 +13,6 @@ from .coined_walk import (
     classical_walk_probability,
     distribution_1d,
     distribution_nd,
-    hadamard_coin,
-    init_1d_asymmetric,
-    init_1d_symmetric,
-    init_nd,
-    step_1d,
-    step_nd,
     walk_1d,
     walk_nd,
 )
@@ -99,10 +93,6 @@ __all__ = [
     "evaluate_vertex",
     "evolve",
     "forward",
-    "hadamard_coin",
-    "init_1d_asymmetric",
-    "init_1d_symmetric",
-    "init_nd",
     "init_weights",
     "initial_state",
     "index_to_coords",
@@ -116,8 +106,6 @@ __all__ = [
     "ring_size",
     "sample_outcome",
     "shift_window",
-    "step_1d",
-    "step_nd",
     "steps_to_max",
     "train",
     "walk_1d",

@@ -27,6 +27,7 @@ or an I/O error).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -44,7 +45,7 @@ RUNTIME_ERROR = 2
 
 OUT_DIR_ENV = "QWTRAIN_OUT"
 
-CHOICES = {"init": ("asymmetric", "symmetric")}
+CHOICES = {"init": tuple(coined_walk.INITS)}
 
 
 @dataclass
@@ -186,8 +187,8 @@ def cmd_backprop(cfg, out_dir):
         return [out], f"backprop: 0 runs -> {out}"
     s = epochs_summary(results)
     with open(out, "a", newline="") as fh:
-        fh.write(f"summary,min={s['min']},mean={s['mean']:.2f},"
-                 f"max={s['max']},std={s['std']:.2f}\n")
+        csv.writer(fh).writerow(["summary", f"min={s['min']}", f"mean={s['mean']:.2f}",
+                                 f"max={s['max']}", f"std={s['std']:.2f}"])
     return [out], f"backprop: lr={cfg['lr']}, {backprop_summary(results)} -> {out}"
 
 

@@ -43,15 +43,19 @@ class WeightWindow:
     delta_p: float
 
     def __post_init__(self):
+        for v in (self.w, self.z, *self.origin):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"w, z and the origin entries must be integers, got {v!r}")
         if self.w < 1:
             raise ValueError(f"w must be positive, got {self.w}")
         if self.z < 1:
             raise ValueError(f"z must be positive, got {self.z}")
         if len(self.origin) != self.w:
             raise ValueError(f"origin must have length w={self.w}, got {len(self.origin)}")
-        if not (math.isfinite(self.delta_p) and self.delta_p > 0):
+        if isinstance(self.delta_p, bool) or not (
+                math.isfinite(self.delta_p) and self.delta_p > 0):
             raise ValueError(
-                f"delta_p must be finite and positive, got {self.delta_p}")
+                f"delta_p must be finite and positive, got {self.delta_p!r}")
         require_finite_weights(self.delta_p, self.origin, self.z)
 
 
@@ -262,11 +266,10 @@ def to_descriptor(window: WeightWindow) -> dict:
 
 def from_descriptor(d: dict) -> WeightWindow:
     """Inverse of to_descriptor. ValueError unless w, z and every origin entry
-    are ints and delta_p is an int or a float: no field is coerced, so a
-    descriptor reads back as the window it was written from or not at all."""
+    are ints (WeightWindow checks them) and delta_p is an int or a float: no
+    field is coerced, so a descriptor reads back as the window it was written
+    from or not at all."""
     origin = tuple(d["origin"])
-    if any(type(v) is not int for v in (d["w"], d["z"], *origin)):
-        raise ValueError("w, z and the origin entries must be integers")
     if type(d["delta_p"]) not in (int, float):
         raise ValueError(f"delta_p must be a number, got {d['delta_p']!r}")
     return WeightWindow(w=d["w"], z=d["z"], origin=origin, delta_p=float(d["delta_p"]))

@@ -257,7 +257,9 @@ def test_train_above_the_vertex_cap_is_a_runtime_error(tmp_path, capsys):
 def test_backprop_csv_and_summary(tmp_path, capsys):
     assert run(["backprop", "--runs", "3", "--seed", "500", "--out", "b.csv",
                 "--out-dir", str(tmp_path)]) == 0
-    lines = (tmp_path / "b.csv").read_text().splitlines()
+    data = (tmp_path / "b.csv").read_bytes()
+    assert data.count(b"\n") == data.count(b"\r\n") == 5  # every row ends in CRLF
+    lines = data.decode().splitlines()
     assert lines[0] == "lr,seed,outcome,epochs,final_mse"
     assert len(lines) == 5  # header + 3 runs + summary
     assert lines[-1].startswith("summary,min=")

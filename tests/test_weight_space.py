@@ -25,6 +25,16 @@ def test_window_validation():
         ws.WeightWindow(w=2, z=2, origin=(0,), delta_p=0.5)
     with pytest.raises(ValueError):
         ws.WeightWindow(w=2, z=2, origin=(0, 0), delta_p=0.0)
+    # no field is coerced: a float or bool w, z or origin entry and a bool
+    # delta_p are refused, where they would build a float-sized or truncated window
+    for w, z, origin, delta_p in ((2, 2.0, (0, 0), 0.5), (2, True, (0, 0), 0.5),
+                                  (2, 2, (1.5, 0), 0.5), (2, 2, (True, 0), 0.5),
+                                  (2.0, 2, (0, 0), 0.5), (True, 2, (0,), 0.5),
+                                  (2, 2, (0, 0), True)):
+        with pytest.raises(ValueError, match="integers|delta_p"):
+            ws.WeightWindow(w=w, z=z, origin=origin, delta_p=delta_p)
+    assert ws.window_size(ws.WeightWindow(w=2, z=np.int64(2), origin=(np.int64(1), 0),
+                                          delta_p=0.5)) == 4
 
 
 @pytest.mark.parametrize("origin,z,delta_p", [
