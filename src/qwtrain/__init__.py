@@ -58,7 +58,6 @@ from .weight_space import (
     coords_to_weights,
     index_to_coords,
     index_to_weights,
-    iter_displacements,
     random_window,
     ring_size,
     shift_window,
@@ -97,7 +96,6 @@ __all__ = [
     "initial_state",
     "index_to_coords",
     "index_to_weights",
-    "iter_displacements",
     "mse",
     "mse_gradient",
     "outcome_probabilities",

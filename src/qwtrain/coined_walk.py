@@ -111,8 +111,8 @@ def walk_nd(dims: int, steps: int) -> CoinedWalkState:
     if dims < 1:
         raise ValueError(f"dims must be at least 1, got {dims}")
     if dims > MAX_DIMS:
-        raise ValueError(f"dims {dims} asks for a 2^d x 2^d coin above the cap "
-                         f"of dims {MAX_DIMS}")
+        raise ValueError(f"dims {dims} asks for 2^d coin states per site, above the "
+                         f"cap of dims {MAX_DIMS}")
     _require_walk_size(dims, steps)
     amplitudes = np.zeros((2,) * dims + (1,) * dims, dtype=complex)
     amplitudes[(0,) * 2 * dims] = 1.0

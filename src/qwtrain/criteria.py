@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import statistics
+import struct
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -26,7 +27,8 @@ from .lackadaisical_walk import (WalkParams, angles, build_operator, evolve,
                                  export_trace, initial_state,
                                  outcome_probabilities, probability_trace,
                                  steps_to_max)
-from .weight_space import WeightWindow, window_size
+from .weight_space import (WeightWindow, coords_to_index, index_to_coords,
+                           index_to_weights, window_size)
 
 
 @dataclass(frozen=True)
@@ -183,6 +185,23 @@ def weight_search() -> Criterion:
          "train_probabilities.csv": lambda path: trainer.export_probabilities_csv(results, path)})
 
 
+def factored_oracle() -> Criterion:
+    window = WeightWindow(w=9, z=2, origin=reference.ORACLE_ORIGIN,
+                          delta_p=reference.ORACLE_DELTA_P)
+    t0 = time.perf_counter()
+    serial = oracle.reference_enumerate(window)
+    sols = oracle.enumerate_solutions(window)
+    errors = sum(mlp.classification_error(index_to_weights(int(i), window)) != 0
+                 for i in sols.indices)
+    wall = time.perf_counter() - t0
+    return Criterion(6, "Factored oracle equals the serial reference", [
+        Check("serial reference", np.array_equal(serial.indices, sols.indices),
+              f"{sols.k} solutions against {serial.k} from reference_enumerate"),
+        Check("solutions found", sols.k > 0, f"k = {sols.k} at origin {window.origin}"),
+        Check("re-verified", errors == 0, f"{errors} of {sols.k} solutions misclassify"),
+    ], {"k": sols.k, "indices": sols.indices.tolist()}, wall, {})
+
+
 def backprop_baseline() -> Criterion:
     fast_lr, slow_lr = reference.BACKPROP_FAST_LR, reference.BACKPROP_SLOW_LR
     t0 = time.perf_counter()
@@ -204,6 +223,12 @@ def backprop_baseline() -> Criterion:
             num[j] = (mlp.mse(wp) - mlp.mse(wm)) / 2e-6
         worst = max(worst, np.linalg.norm(mlp.mse_gradient(w) - num)
                     / max(np.linalg.norm(num), 1e-12))
+    digest = hashlib.sha256()
+    for _, _, r in (*rows[fast_lr], *rows[slow_lr]):
+        digest.update(f"{r.outcome},{r.epochs_used},".encode())
+        digest.update(r.final_weights.astype("<f8").tobytes())
+        digest.update(struct.pack("<d", r.final_mse))
+    digest = digest.hexdigest()
     wall = time.perf_counter() - t0
     successes = [r.epochs_used for r in fast if r.outcome == "success"]
     mean_success = statistics.fmean(successes) if successes else math.inf
@@ -223,10 +248,70 @@ def backprop_baseline() -> Criterion:
               f"(reference 46987.00)"),
         Check("analytic gradient", worst <= 1e-6,
               f"worst relative error {worst:.2e} over 100 draws, at most 1e-6"),
+        Check("sweep digest", digest.startswith(reference.BACKPROP_SWEEP_SHA256),
+              f"sha256 {digest[:16]} against {reference.BACKPROP_SWEEP_SHA256} over "
+              f"{len(fast) + len(slow)} runs"),
     ], {"successes": len(successes), "mean_success": mean_success, "mean_all": mean_all,
-        "limit_hits": limit_hits, "mean_slow": mean_slow, "gradient_rel_err": float(worst)},
+        "limit_hits": limit_hits, "mean_slow": mean_slow, "gradient_rel_err": float(worst),
+        "sha256": digest},
         wall, {f"backprop_lr_{lr}.csv": (lambda path, r=r: mlp.export_train_results(r, path))
                for lr, r in rows.items()})
+
+
+def invariants() -> Criterion:
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(99)
+    unitarity = 0.0
+    for _ in range(reference.INVARIANT_DRAWS):  # random valid (N, k, l)
+        N = int(10 ** rng.uniform(0.4, 8.0)) + 2
+        k = int(rng.integers(1, N))
+        l = int(rng.integers(1, 100))
+        op = build_operator(angles(WalkParams(N=N, k=k, l=l)))
+        unitarity = max(unitarity, float(np.abs(op @ op.T - np.eye(4)).max()))
+    state = _evolved(262144, 20, reference.INVARIANT_STEPS)
+    norm = float(np.dot(state, state))
+    pairs = ((8, 2), (512, 12), (262144, 17), (10 ** 6, 345))
+    identity = all(a.cos_theta == a.cos_phi and a.sin_theta == a.sin_phi
+                   for a in (angles(WalkParams(N=n, k=k, l=1)) for n, k in pairs))
+    # k = 1 reduction to the single-solution closed forms (the phi column
+    # signs in the operator match the general 4x4 form)
+    closed = 0.0
+    for n, l in ((64, 1), (4096, 5)):
+        a = angles(WalkParams(N=n, k=1, l=l))
+        d = n + l - 1
+        closed = max(closed, abs(a.cos_theta - (n - l - 1) / d),
+                     abs(a.sin_theta - 2 * math.sqrt((n - 1) * l) / d),
+                     abs(a.cos_phi - (n + l - 3) / d),
+                     abs(a.sin_phi - 2 * math.sqrt(n + l - 2) / d))
+    round_trips = 0
+    for z, w in ((2, 9), (4, 5), (3, 4)):
+        win = WeightWindow(w=w, z=z, origin=tuple(int(v) for v in rng.integers(-5, 6, size=w)),
+                           delta_p=0.5)
+        round_trips += sum(coords_to_index(index_to_coords(int(i), win), win) != i
+                           for i in rng.integers(0, window_size(win), size=200))
+    off_lattice = 0.0  # distance of weight / delta_p from an integer
+    for delta_p in (0.5, 0.25, 0.1):
+        win = WeightWindow(w=9, z=4, origin=tuple(int(v) for v in rng.integers(-8, 9, size=9)),
+                           delta_p=delta_p)
+        for i in rng.integers(0, window_size(win), size=100):
+            steps = index_to_weights(int(i), win) / delta_p
+            off_lattice = max(off_lattice, float(np.abs(steps - np.round(steps)).max()))
+    wall = time.perf_counter() - t0
+    return Criterion(8, "Invariant suite", [
+        Check("unitarity", unitarity < 1e-12,
+              f"max |U U^T - I| {unitarity:.1e} over {reference.INVARIANT_DRAWS} "
+              "random (N, k, l), below 1e-12"),
+        Check("norm", abs(norm - 1.0) < 1e-10,
+              f"{norm!r} after {reference.INVARIANT_STEPS} steps of (262144, 20, 1)"),
+        Check("theta = phi at l = 1", identity, f"cos and sin equal at (N, k) in {pairs}"),
+        Check("k = 1 closed forms", closed < 1e-15,
+              f"worst error {closed:.1e} at (N, l) = (64, 1), (4096, 5), below 1e-15"),
+        Check("index round-trip", round_trips == 0,
+              f"{round_trips} of 600 indices changed at (z, w) = (2, 9), (4, 5), (3, 4)"),
+        Check("delta_p multiples", off_lattice < 1e-9,
+              f"weights within {off_lattice:.1e} of a multiple of delta_p 0.5, 0.25, 0.1"),
+    ], {"unitarity": unitarity, "norm": norm, "closed_forms": closed,
+        "round_trips": int(round_trips), "off_lattice": off_lattice}, wall, {})
 
 
 def large_window() -> Criterion:
@@ -255,4 +340,4 @@ def large_window() -> Criterion:
 
 
 CRITERIA = (toy_walk, step_counts, final_probabilities, line_walk, weight_search,
-            backprop_baseline, large_window)
+            factored_oracle, backprop_baseline, invariants, large_window)

@@ -78,6 +78,16 @@ TRAIN_SEEDS = 1000
 TRAIN_MAX_SHIFTS = 100000
 TRAIN_MIN_FRACTION = 0.95
 
+# The factored oracle against the serial reference: a z=2 window built
+# around a known zero-error weight vector.
+ORACLE_ORIGIN = (1, 1, 2, -3, -3, 2, -2, -3, -2)
+ORACLE_DELTA_P = 0.5
+
+# Invariant suite: random (N, k, l) triples checked for unitarity, and the
+# steps over which the norm is checked.
+INVARIANT_DRAWS = 10 ** 4
+INVARIANT_STEPS = 10 ** 4
+
 # Exact solution count of the z=8, delta_p=0.5 window at the lattice origin
 # (134217728 vertices); the reference run reported 80295 for its own window.
 Z8_ORIGIN_K = 3240
@@ -95,3 +105,9 @@ BACKPROP_SLOW_LR, BACKPROP_SLOW_RUNS = 0.0001, 20
 BACKPROP_MIN_SUCCESSES = 95     # of the lr 0.5 runs
 BACKPROP_MAX_MEAN_EPOCHS = 5000  # bounds the lr 0.5 means over successes and over all runs
 BACKPROP_SLOWDOWN = 50  # lr 1e-4 mean epochs over the lr 0.5 mean, unless a run hits the limit
+
+# Prefix of the sha256 over the 120 runs in sweep order (the lr 0.5 runs,
+# then the lr 1e-4 runs): per run, "outcome,epochs," in ASCII, then the final
+# weights and the final MSE as little-endian float64, so any changed run
+# fails, not only a moved mean.
+BACKPROP_SWEEP_SHA256 = "0ae5c0ff5b451518"

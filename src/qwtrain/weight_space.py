@@ -21,6 +21,9 @@ by (z, 0, ..., 0), and distinct indices give disjoint windows.
 Rings 1..r-1 hold (2r-1)^w - 1 shifts, so ring r's first shift index is
 (2r-1)^w: shift_index_at, ring_of_shift and shift_window convert between a
 shift index and a (ring, counter position) pair from that closed form.
+ring_block_keys is the one decoder of counter positions into displacements:
+the trainer takes each block's keys from it, and ring_window takes the row
+of one position (a block with no free digits).
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -127,19 +129,6 @@ def ring_size(w: int, r: int) -> int:
     return (2 * r + 1) ** w - (2 * r - 1) ** w
 
 
-def _ring_block(w: int, z: int, r: int, lo: int, hi: int) -> np.ndarray:
-    """Accepted displacement rows among raw counter positions [lo, hi) of ring r."""
-    base = 2 * r + 1
-    idx = np.arange(lo, hi, dtype=np.int64)
-    digits = np.empty((idx.size, w), dtype=np.int64)
-    tmp = idx
-    for m in range(w):
-        digits[:, m] = tmp % base
-        tmp = tmp // base
-    keep = (digits >= 2 * r - 1).any(axis=1)
-    return _digit_values(r, z)[digits[keep]]
-
-
 def ring_block_keys(z: int, r: int, start: int, m: int, dims):
     """One side's keys of a ring block: (displacements, offsets).
 
@@ -181,38 +170,6 @@ def ring_rank(w: int, r: int, position: int) -> int:
     return position - inner
 
 
-def ring_displacement(w: int, z: int, r: int, position: int) -> np.ndarray:
-    """Displacement row of one counter position of ring r; ValueError if it
-    lies in the inner cube."""
-    rows = _ring_block(w, z, r, position, position + 1)
-    if not rows.size:
-        raise ValueError(f"position {position} is not on ring {r}")
-    return rows[0]
-
-
-def iter_displacements(w: int, z: int, batch: int = 8192) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first_shift_index, displacement rows) in shift order, forever.
-
-    Row i of a yielded array is the displacement for shift_index
-    first_shift_index + i. `batch`, an integer (Python or numpy), bounds how
-    many counter positions are decoded per yield.
-    """
-    next_index = 1
-    r = 1
-    while True:
-        base = 2 * r + 1
-        total = base ** w
-        lo = 0
-        while lo < total:
-            hi = min(lo + max(batch, 1), total)
-            rows = _ring_block(w, z, r, lo, hi)
-            if rows.size:
-                yield next_index, rows
-                next_index += rows.shape[0]
-            lo = hi
-        r += 1
-
-
 def shift_index_at(w: int, r: int, position: int) -> int:
     """Shift index of a counter position of ring r, or of the first accepted
     one after it for an inner-cube position. Ring 1's position 0, the zero
@@ -232,8 +189,11 @@ def ring_of_shift(w: int, shift_index: int) -> int:
 
 
 def ring_window(window: WeightWindow, r: int, position: int) -> WeightWindow:
-    """The window displaced by counter position `position` of ring r."""
-    disp = ring_displacement(window.w, window.z, r, position)
+    """The window displaced by counter position `position` of ring r;
+    ValueError if the position lies in the inner cube."""
+    disp = ring_block_keys(window.z, r, position, 0, range(window.w))[0][0]
+    if np.abs(disp).max() < r * window.z:
+        raise ValueError(f"position {position} is not on ring {r}")
     return replace(window, origin=tuple(int(o + d) for o, d in zip(window.origin, disp)))
 
 

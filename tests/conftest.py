@@ -58,3 +58,24 @@ def interval_counts(origins, z, delta_p):
         counts[w] = sum(np.count_nonzero((hi_w - cw >= 0.5) & (lo_w - cw < 0.5))
                         for cw in c[:, w])
     return counts
+
+
+def shift_displacements(w, z, batch):
+    """Yield (first shift index, displacement rows) in shift order, forever,
+    decoding `batch` counter positions per step (steps that keep no row yield
+    nothing). Written from weight_space's definition of the order, as a
+    reference independent of its decoder: ring r's counter runs with
+    dimension 0 fastest over the values 0, +z, -z, ..., +rz, -rz, and a row
+    is kept when its largest magnitude is r*z."""
+    index, r = 1, 1
+    while True:
+        values = np.array([0, *(s * q * z for q in range(1, r + 1) for s in (1, -1))])
+        base, radius = values.size, r * z
+        for lo in range(0, base ** w, batch):
+            positions = np.arange(lo, min(lo + batch, base ** w))
+            rows = values[positions[:, None] // base ** np.arange(w) % base]
+            rows = rows[np.abs(rows).max(axis=1) == radius]
+            if rows.size:
+                yield index, rows
+                index += rows.shape[0]
+        r += 1

@@ -133,10 +133,10 @@ def test_export_nd_format(tmp_path):
 
 @pytest.mark.parametrize("dims", (cw.MAX_DIMS + 1, 16, 10 ** 9))
 def test_walk_nd_refuses_dims_above_the_cap(monkeypatch, dims):
-    # one step at d=16 would hold 2^16 x 2^16 complex amplitudes, 64 GiB:
-    # refused before any is allocated
+    # one step at d=16 would hold 2^16 coin states at each of 2^16 sites,
+    # 2^32 complex amplitudes (64 GiB): refused before any is allocated
     monkeypatch.setattr(cw, "_step", None)  # any work would fail
-    with pytest.raises(ValueError, match="coin above the cap of dims 8"):
+    with pytest.raises(ValueError, match="coin states per site, above the cap of dims 8"):
         cw.walk_nd(dims, 1)
 
 

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_counts
+from conftest import interval_counts, shift_displacements
 from qwtrain import mlp, oracle
-from qwtrain.weight_space import (WeightWindow, index_to_weights,
-                                  iter_displacements, random_window,
+from qwtrain.weight_space import (WeightWindow, index_to_weights, random_window,
                                   ring_block_keys, to_descriptor, window_size)
 
 # z=2 window built around a known zero-error weight vector; 6 solutions
@@ -298,7 +297,7 @@ def _ring_batches(z, delta_p, seeds, rows_per_seed):
     parts = []
     for seed in seeds:
         start = random_window(9, z, delta_p, seed)
-        _, rows = next(iter_displacements(9, z, batch=2 * rows_per_seed))
+        _, rows = next(shift_displacements(9, z, batch=2 * rows_per_seed))
         parts.append(np.vstack([start.origin, start.origin + rows[:rows_per_seed - 1]]))
     return np.vstack(parts)
 
@@ -327,8 +326,8 @@ FLOAT32_MISS = (-2, 2, 6, 1, -2, -5, -3, -3, -2)
 @pytest.mark.parametrize("delta_p,pair_blocks", [
     *(pytest.param(d, None, id=str(d)) for d in (0.5, 1.0, 1.3)),
     *(pytest.param(d, 3, id=f"{d}-pair3") for d in (0.5, 1.0, 1.3))])
-def test_scan_counts_match_direct_enumeration_on_ring_batches(monkeypatch, z, rows_per_seed,
-                                                              delta_p, pair_blocks):
+def test_interval_counts_match_enumeration_on_ring_batches(monkeypatch, z, rows_per_seed,
+                                                            delta_p, pair_blocks):
     # the bound test drops most windows; the solvable ones must survive it.
     # With 3 live blocks per pair chunk, a window's run of live blocks spans
     # many pair chunks and ends inside one, where the pair stage flushes its
@@ -365,7 +364,7 @@ def _float32_interval_counts(origins, z, delta_p):
 
 @pytest.mark.parametrize("z,rows_per_seed", [(2, 1024), (3, 128), (4, 16)])
 @pytest.mark.parametrize("delta_p", (0.5, 1.0, 1.3))
-def test_scan_counts_equal_float32_interval_counts(z, rows_per_seed, delta_p):
+def test_interval_counts_equal_float32_counts(z, rows_per_seed, delta_p):
     # float64 moved no count that float32 got right: on every ring-batch
     # window the float64 count equals a float32 count over every pair, and
     # where it departs from it (the float32-miss row at delta_p 0.5) it

@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import interval_counts
+from conftest import interval_counts, shift_displacements
 from qwtrain import oracle, trainer
 from qwtrain.mlp import classification_error
 from qwtrain.seeding import substream
 from qwtrain.weight_space import (WeightWindow, index_to_weights,
-                                  iter_displacements, shift_window, window_size)
+                                  shift_window, window_size)
 
 
 def test_config_validation():
@@ -156,13 +156,13 @@ def test_find_solvable_window_matches_exhaustive_enumeration(z, seeds, max_shift
 
 def _first_solvable_by_scan(start, max_shifts):
     """Naive reference search: the first nonzero brute-force count
-    (interval_counts) over the iter_displacements rows, in shift order, up
+    (interval_counts) over the shift_displacements rows, in shift order, up
     to max_shifts, counted 64 rows at a time."""
     sols = oracle.enumerate_solutions(start)
     if sols.k:
         return start, sols, 0
     origin = np.asarray(start.origin, dtype=np.int64)
-    for first, rows in iter_displacements(start.w, start.z, batch=4096):
+    for first, rows in shift_displacements(start.w, start.z, batch=4096):
         if first > max_shifts:
             return None
         rows = rows[:max_shifts - first + 1]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shift_displacements
 from qwtrain import weight_space as ws
 
 
@@ -112,7 +113,7 @@ def test_first_ring_enumeration_order():
     # per-dimension digit order 0, +z, -z, +2z, ...; dim 0 advances fastest;
     # keep rows whose largest magnitude hits the ring radius
     got = []
-    for first, rows in ws.iter_displacements(2, 4, batch=64):
+    for first, rows in shift_displacements(2, 4, batch=64):
         assert first == 1
         got = [tuple(int(v) for v in r) for r in rows[:8]]
         break
@@ -123,7 +124,7 @@ def test_first_ring_enumeration_order():
 def test_displacements_cover_each_ring_once():
     seen = set()
     count = 0
-    for first, rows in ws.iter_displacements(3, 2, batch=128):
+    for first, rows in shift_displacements(3, 2, batch=128):
         assert first == count + 1
         for r in rows:
             seen.add(tuple(int(v) for v in r))
@@ -135,25 +136,10 @@ def test_displacements_cover_each_ring_once():
     assert ring1 <= seen
 
 
-def test_batch_schedule_matches_flat_batches():
-    flat = []
-    for first, rows in ws.iter_displacements(2, 3, batch=16):
-        flat.extend(tuple(int(v) for v in r) for r in rows)
-        if len(flat) >= 100:
-            break
-    numpy_batch = []
-    for first, rows in ws.iter_displacements(2, 3, batch=np.int64(16)):
-        assert first == len(numpy_batch) + 1
-        numpy_batch.extend(tuple(int(v) for v in r) for r in rows)
-        if len(numpy_batch) >= 100:
-            break
-    assert flat[:100] == numpy_batch[:100]
-
-
 def test_shift_window_matches_enumeration():
     win = _win(w=2, z=4, origin=(5, -2))
     disp = []
-    for first, rows in ws.iter_displacements(2, 4, batch=64):
+    for first, rows in shift_displacements(2, 4, batch=64):
         disp.extend(tuple(int(v) for v in r) for r in rows)
         if len(disp) >= 90:
             break
@@ -210,13 +196,13 @@ def test_ring_block_keys_span_the_counter_block(groups, r, start, m):
 
 @pytest.mark.parametrize("w,r", [(2, 1), (3, 1), (3, 2), (4, 2)])
 def test_ring_rank_and_displacement_follow_the_enumeration(w, r):
-    # shift index = the ring's first index + rank; displacement = the row
-    # iter_displacements gives that index; inner-cube positions are refused
+    # shift index = the ring's first index + rank; displacement = the
+    # reference row of that index; inner-cube positions are refused
     z, base = 2, 2 * r + 1
     win = _win(w=w, z=z, origin=tuple(range(w)))
     first = 1 + sum(ws.ring_size(w, q) for q in range(1, r))
     rows = {}
-    for index, batch in ws.iter_displacements(w, z, batch=64):
+    for index, batch in shift_displacements(w, z, batch=64):
         rows.update((index + i, tuple(int(v) for v in row)) for i, row in enumerate(batch))
         if index > first + ws.ring_size(w, r):
             break
@@ -226,15 +212,14 @@ def test_ring_rank_and_displacement_follow_the_enumeration(w, r):
         if max(digits) < 2 * r - 1:
             inner += 1
             with pytest.raises(ValueError, match="not on ring"):
-                ws.ring_displacement(w, z, r, p)
+                ws.ring_window(win, r, p)
             continue
         assert ws.ring_rank(w, r, p) == p - inner
-        assert tuple(int(v) for v in ws.ring_displacement(w, z, r, p)) == rows[first + p - inner]
         index = ws.shift_index_at(w, r, p)
         assert index == first + p - inner
         assert ws.ring_of_shift(w, index) == r
-        assert ws.shift_window(win, index).origin == tuple(
-            o + d for o, d in zip(win.origin, rows[index]))
+        origin = tuple(o + d for o, d in zip(win.origin, rows[index]))
+        assert ws.ring_window(win, r, p).origin == ws.shift_window(win, index).origin == origin
     assert ws.ring_rank(w, r, base ** w) == ws.ring_size(w, r)
 
 
@@ -243,7 +228,7 @@ def test_shift_window_follows_the_enumeration_at_w9():
     win = _win(origin=(1, -2, 0, 3, -1, 2, 0, -3, 1))
     shifts = (1, 2, 19682, 19683, 19684, 100000, 1953124)
     rows = {}
-    for index, batch in ws.iter_displacements(9, 2, batch=1 << 16):
+    for index, batch in shift_displacements(9, 2, batch=1 << 16):
         rows.update((i, batch[i - index]) for i in shifts if index <= i < index + len(batch))
         if len(rows) == len(shifts):
             break
