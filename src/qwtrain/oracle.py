@@ -11,7 +11,7 @@ only on weights 3-5, and the output is y = a*h1 + b*h2 - c. One kernel
 builds the hidden-unit tables (_hidden), skips blocks of vertices whose
 bounds show they hold no solution, and reduces the four pattern sums
 s_p = a*h1 + b*h2 of the rest to one interval, lo = max(s_00, s_11) and
-hi = min(s_01, s_10) (_interval), where an output bias c solves when
+hi = min(s_01, s_10) (_pair_interval), where an output bias c solves when
 lo - c < 0.5 <= hi - c (_solves). On _hidden's own values that test is the
 four-pattern test bit for bit, but those values are not mlp.sigmoid's:
 _hidden takes 1/(1 + np.exp(-x)) at every x, where mlp.sigmoid takes
@@ -22,17 +22,21 @@ here against reference_enumerate's [0], and origin
 (-3, -1, 6, 5, 3, -4, -4, -4, -5) gives [0] against []. The fix is ROADMAP
 item 1, "make the oracle mark what the network classifies".
 
-The kernel has one bound stage (_product_blocks). Its input is a product
-of keys: an a-side key (weights 0-2 and 6), a b-side key (3-5 and 7) and an
-output bias key (8), every (a key, b key, c key) triple being a window, such
-as a block of the trainer's ring enumeration. The tables are built once per
-key, a block's bounds are the outer sum of the two sides' per-key row
-bounds, broadcast with no per-window gather, and the live blocks reach the
-pair stage in window order, each window's as one run. The pair stage yields
-the solutions of a window once its run has ended, so first_solvable_position
-stops within one pair chunk of the end of the first solvable window's run
-and takes that window's solution indices from the same pass, pairing no
-live block twice. A single window is a product of one key of each kind, so
+The kernel has one bound stage (_product_blocks) and one pair stage. Its
+input is a product of keys: an a-side key (weights 0-2 and 6), a b-side key
+(3-5 and 7) and an output bias key (8), every (a key, b key, c key) triple
+being a window, such as a block of the trainer's ring enumeration. The
+tables are built once per key, a block's bounds are the outer sum of the two
+sides' per-key row bounds, broadcast with no per-window gather, and the live
+blocks reach the pair stage in window order, each window's as one run. The
+pair stage forms each side's row products once, as one table per side
+(_row_table), and each pair chunk gathers its blocks' rows from it. Pattern
+00's hidden input is the hidden bias alone, so a row's 00 products are one
+value and s_00 is one sum per block. The pair stage yields the solutions of
+a window once its run has ended, so first_solvable_position stops within
+one pair chunk of the end of the first solvable window's run and takes that
+window's solution indices from the same pass, pairing no live block twice.
+A single window is a product of one key of each kind, so
 enumerate_solutions is first_solvable_position on it, and the trainer's
 solution set of a window is the one enumerate_solutions gives.
 Two unfactored routes are kept as independent references: a scalar
@@ -147,7 +151,8 @@ def _weight_values(origins: np.ndarray, z: int, delta_p: float) -> np.ndarray:
 
 def _interval(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
               tmp: np.ndarray) -> None:
-    """Fill lo = max(s_00, s_11) and hi = min(s_01, s_10), s_p = a_p + b_p.
+    """Fill lo = max(s_00, s_11) and hi = min(s_01, s_10), s_p = a_p + b_p:
+    the bound stage's block bounds.
 
     a and b are per-pattern tables (pattern first) that broadcast to the
     buffers' shape; each sum is formed a first.
@@ -251,6 +256,34 @@ def _product_blocks(a_bounds: np.ndarray, b_bounds: np.ndarray, c: np.ndarray,
     return ra[order], rb[order], ka[order], kb[order], kc[order]
 
 
+def _row_table(w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One side's row products, (keys * z^2 rows, 4 patterns, z^2 settings).
+
+    w is (z, n) output-weight values and h a (4, z, z^2, n) hidden table
+    grouped by the hidden bias, as _side gives them. Row key * z^2 + r holds
+    w[r // z, key] * h[:, r % z, :, key]: the products of _row_bounds' row r
+    of that key."""
+    z, n = w.shape
+    rows = w.T[:, :, None, None, None] * h.transpose(3, 1, 0, 2)[:, None]
+    return rows.reshape(n * z * z, 4, z * z)
+
+
+def _pair_interval(a: np.ndarray, b: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> None:
+    """Fill lo = max(s_00, s_11) and hi = min(s_01, s_10) over the
+    (a row, b row) blocks, s_p = a_p + b_p formed a first.
+
+    a and b are the blocks' (blocks, 4 patterns, z^2) row products and lo
+    and hi (blocks, z^2, z^2) buffers. Pattern 00's hidden input is -bias
+    alone, so a row's 00 products are one value, bit for bit, at all its z^2
+    settings: s_00 is one sum per block, taken at setting 0."""
+    np.add(a[:, 1, :, None], b[:, 1, None, :], out=hi)
+    np.add(a[:, 2, :, None], b[:, 2, None, :], out=lo)
+    np.minimum(hi, lo, out=hi)
+    np.add(a[:, 3, :, None], b[:, 3, None, :], out=lo)
+    np.maximum((a[:, 0, 0] + b[:, 0, 0])[:, None, None], lo, out=lo)
+
+
 def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
     """Yield the solution vertices of the live blocks of the bound stage,
     window by window.
@@ -268,14 +301,13 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
     The network factors: h1 depends on weights 0-2 only, h2 on 3-5, and
     y = a*h1 + b*h2 - c. A vertex solves XOR when s_p - c >= 0.5 holds
     exactly for the patterns with target 1, s_p = a*h1 + b*h2 in float64.
-    With lo = max(s_00, s_11) and hi = min(s_01, s_10) (_interval, a*h1
-    first) that is hi - c >= 0.5 and lo - c < 0.5 (_solves), the four-pattern
-    test bit for bit on these h values: for a fixed c, s -> fl(s - c) is
-    monotone, so min(fl(s_01 - c), fl(s_10 - c)) = fl(hi - c), and likewise
-    for the max. The h values are _hidden's, not mlp.sigmoid's, so on the
-    0.5 edge the kernel can mark a vertex that mlp.classification_error
-    rejects, or miss one it accepts (see the module docstring; the fix is
-    ROADMAP item 1).
+    With lo = max(s_00, s_11) and hi = min(s_01, s_10) (a*h1 first) that is
+    hi - c >= 0.5 and lo - c < 0.5 (_solves), the four-pattern test bit for
+    bit on these h values: for a fixed c, s -> fl(s - c) is monotone, so
+    min(fl(s_01 - c), fl(s_10 - c)) = fl(hi - c), and likewise for the max.
+    The h values are _hidden's, not mlp.sigmoid's, so on the 0.5 edge the
+    kernel can mark a vertex that mlp.classification_error rejects, or miss
+    one it accepts (see the module docstring; the fix is ROADMAP item 1).
     Finite weights (WeightWindow, the trainer's check on its keys) keep NaN
     out of it.
 
@@ -285,16 +317,27 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
     _interval its lo is at least the bound's lo and its hi at most the
     bound's hi, since a rounded sum fl(x + y) is monotone in x and y. A block
     whose bounds fail _solves for every c of its window holds no solution.
-    The live blocks get the pairwise interval in chunks of about _PAIR_BLOCK
-    elements; no c passes where lo >= hi, so only the pairs with lo < hi are
-    kept. One pass over the output biases tests each c on those alone: once
-    the pair chunks have kept about _SURVIVOR_BLOCK of them, and at the end
-    of each pair chunk in which a window's run ends. The hits of windows
-    whose runs have ended are yielded there; those of a run that goes on
-    past the chunk are held for the next run end. So the first yield comes
-    within one pair chunk of the end of the first solvable window's run, and
-    no live block is paired twice. Keeping a whole window's survivors
-    instead costs megabytes at z=4, where many pairs have lo < hi.
+
+    The pair stage builds each side's rows once, as a (keys * z^2, 4, z^2)
+    table (_row_table) whose row key * z^2 + r holds the same products
+    fl(w * h) that bound row r of that key, so gathering a block's rows from
+    it changes no value. The live blocks get the pairwise interval in chunks
+    of about _PAIR_BLOCK elements (_pair_interval), each chunk taking its
+    rows from the tables by one flat row index per side. Pattern 00's
+    hidden input is fl(fl(0*u + 0*v) - t) for weights u, v and hidden bias
+    t, which is -t exactly for every finite u and v (up to the sign of a
+    zero, which exp does not see), so a row's 00 products are one value,
+    bit for bit, at all its z^2 settings. So s_00 is one sum per block, and max(s_00, s_11)
+    takes it as the same float it is at every pair. No c passes where
+    lo >= hi, so only the pairs with lo < hi are kept. One pass over the
+    output biases tests each c on those alone: once the pair chunks have
+    kept about _SURVIVOR_BLOCK of them, and at the end of each pair chunk in
+    which a window's run ends. The hits of windows whose runs have ended are
+    yielded there; those of a run that goes on past the chunk are held for
+    the next run end. So the first yield comes within one pair chunk of the
+    end of the first solvable window's run, and no live block is paired
+    twice. Keeping a whole window's survivors instead costs megabytes at
+    z=4, where many pairs have lo < hi.
     """
     (h1, a), (h2, b) = a_side[:2], b_side[:2]
     ra, rb, ka, kb, kc = live_blocks
@@ -302,8 +345,10 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
         return
     z = a.shape[0]
     z2, z4 = z * z, z ** 4
+    a_rows, b_rows = _row_table(a, h1), _row_table(b, h2)
+    ia, ib = ka * z2 + ra, kb * z2 + rb  # the live blocks' rows in the tables
     per = max(1, _PAIR_BLOCK // z4)  # blocks per pair chunk
-    lo_buf, hi_buf, tmp_buf = (np.empty(per * z4) for _ in range(3))
+    lo_buf, hi_buf = np.empty(per * z4), np.empty(per * z4)
     live_buf = np.empty(per * z4, dtype=bool)
     keys = np.stack((ka, kb, kc))
     last = np.append(np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)),
@@ -314,16 +359,14 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
     np.maximum.at(ended, last // per, last + 1)
     kept, n_kept, held = [], 0, []
     for j in range(0, ra.size, per):
-        s = slice(j, j + per)
-        ra_j, rb_j, ka_j, kb_j = ra[s], rb[s], ka[s], kb[s]
-        a_rows = (a[ra_j // z, ka_j, None, None] * h1[:, ra_j % z, :, ka_j]).transpose(1, 0, 2)
-        b_rows = (b[rb_j // z, kb_j, None, None] * h2[:, rb_j % z, :, kb_j]).transpose(1, 0, 2)
-        lo, hi, tmp, live = (buf[:ra_j.size * z4].reshape(ra_j.size, z2, z2)
-                             for buf in (lo_buf, hi_buf, tmp_buf, live_buf))
-        _interval(a_rows[:, :, :, None], b_rows[:, :, None, :], lo, hi, tmp)
+        ia_j, ib_j = ia[j:j + per], ib[j:j + per]
+        size = ia_j.size * z4
+        lo, hi, live = lo_buf[:size], hi_buf[:size], live_buf[:size]
+        _pair_interval(a_rows.take(ia_j, axis=0), b_rows.take(ib_j, axis=0),
+                       lo.reshape(-1, z2, z2), hi.reshape(-1, z2, z2))
         np.less(lo, hi, out=live)
-        flat = np.flatnonzero(live)
-        kept.append((flat + j * z4, lo.ravel()[flat], hi.ravel()[flat]))
+        flat = live.nonzero()[0]
+        kept.append((flat + j * z4, lo[flat], hi[flat]))
         n_kept += flat.size
         whole = ended[j // per]
         if n_kept < _SURVIVOR_BLOCK and not whole:

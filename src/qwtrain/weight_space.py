@@ -29,6 +29,7 @@ of one position (a block with no free digits).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -129,6 +130,21 @@ def ring_size(w: int, r: int) -> int:
     return (2 * r + 1) ** w - (2 * r - 1) ** w
 
 
+@functools.lru_cache(maxsize=64)
+def _free_digits(base: int, m: int, dims: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The free-digit part of a block's keys over dims, read-only: each
+    setting's digits on dims (0 on the fixed ones) and its offset."""
+    free = [j for j in dims if j < m]
+    grid = np.indices((base,) * len(free)).reshape(len(free), base ** len(free))[::-1]
+    digits = np.zeros((grid.shape[1], len(dims)), dtype=np.int64)
+    for col, j in enumerate(dims):
+        if j < m:
+            digits[:, col] = grid[free.index(j)]
+    offsets = (base ** np.array(free, dtype=np.int64)) @ grid
+    digits.flags.writeable = offsets.flags.writeable = False
+    return digits, offsets
+
+
 def ring_block_keys(z: int, r: int, start: int, m: int, dims):
     """One side's keys of a ring block: (displacements, offsets).
 
@@ -140,18 +156,17 @@ def ring_block_keys(z: int, r: int, start: int, m: int, dims):
     When groups of dims partition range(w), the block is the product of their
     keys: the position start + the sum of one key offset per group.
     Positions of the inner cube (every digit below 2r-1) are not skipped.
-    ValueError if start is not a multiple of b^m.
+    The free digits and offsets are built once per (b, m, dims); the offsets
+    returned are read-only. ValueError if start is not a multiple of b^m.
     """
     base = 2 * r + 1
     if start % base ** m:
         raise ValueError(f"block start {start} is not a multiple of {base}^{m}")
-    free = [j for j in dims if j < m]
-    grid = np.indices((base,) * len(free)).reshape(len(free), base ** len(free))[::-1]
-    digits = np.empty((grid.shape[1], len(dims)), dtype=np.int64)
-    for col, j in enumerate(dims):
-        digits[:, col] = grid[free.index(j)] if j < m else start // base ** j % base
-    offsets = (base ** np.array(free, dtype=np.int64)) @ grid
-    return _digit_values(r, z)[digits], offsets
+    dims = tuple(dims)
+    free, offsets = _free_digits(base, m, dims)
+    fixed = np.array([0 if j < m else start // base ** j % base for j in dims],
+                     dtype=np.int64)
+    return _digit_values(r, z)[free + fixed], offsets
 
 
 def ring_rank(w: int, r: int, position: int) -> int:

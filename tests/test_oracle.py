@@ -1,3 +1,4 @@
+import itertools
 import json
 import struct
 import tracemalloc
@@ -102,9 +103,10 @@ def _differential_origins(z, delta_p):
                       wide[:2], wide[2 + hits]])
 
 
-@pytest.mark.parametrize("z", (2, 3, 4, 5))
-@pytest.mark.parametrize("delta_p", (0.1, 0.25, 0.5, 1.0, 1.3))
+@pytest.mark.parametrize("delta_p,z", [
+    *itertools.product((0.1, 0.25, 0.5, 1.0, 1.3), (2, 3, 4, 5)), (0.5, 6), (1.0, 6)])
 def test_enumerate_matches_the_four_pattern_test(z, delta_p):
+    # z=6 is where the pair stage's row tables and per-block s_00 pay most
     ks = []
     for o in _differential_origins(z, delta_p):
         window = WeightWindow(w=9, z=z, origin=tuple(int(v) for v in o),
@@ -142,6 +144,33 @@ def test_enumerate_scratch_stays_bounded(z, budget):
         tracemalloc.stop()
     assert sols.k > 0
     assert peak < budget
+
+
+@pytest.mark.parametrize("z", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("delta_p", (0.1, 0.3, 0.7, 1.0, 1.5))
+def test_pattern_00_is_one_value_per_row(z, delta_p):
+    # pattern 00's hidden input is -bias alone, so every row of a side's
+    # row table holds one 00 product at all its z^2 settings, bit for bit,
+    # and the pair stage's s_00 is one sum per block. Keys around the
+    # lattice origin give zero and negative biases and output weights
+    rng = np.random.default_rng([z, round(delta_p * 10)])
+    keys = np.vstack([np.zeros((1, 4), np.int64), rng.integers(-6, 7, size=(7, 4))])
+    vals = oracle._weight_values(keys, z, delta_p)
+    assert (vals[[2, 3]] == 0).any() and (vals[[2, 3]] < 0).any()
+    h, w, _ = oracle._side(vals, 0, 3)
+    rows = oracle._row_table(w, h)
+    bits = rows[:, 0].view(np.uint64)
+    assert np.array_equal(bits, np.broadcast_to(bits[:, :1], bits.shape))
+    # so the pair test gives _interval's lo and hi on (a row, b row) blocks
+    ia, ib = rng.integers(0, len(rows), size=(2, 64))
+    a, b = rows[ia], rows[ib]
+    shape = (ia.size, z * z, z * z)
+    lo, hi, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    oracle._interval(a.transpose(1, 0, 2)[..., None], b.transpose(1, 0, 2)[:, :, None],
+                     lo, hi, tmp)
+    pair_lo, pair_hi = np.empty(shape), np.empty(shape)
+    oracle._pair_interval(a, b, pair_lo, pair_hi)
+    assert pair_lo.tobytes() == lo.tobytes() and pair_hi.tobytes() == hi.tobytes()
 
 
 def _block(z, delta_p, seed, r, start, m):
@@ -235,14 +264,13 @@ def test_the_search_pairs_no_live_block_twice(monkeypatch, survivor_block):
     # held until the run ends, so the solution set is still whole
     if survivor_block is not None:
         monkeypatch.setattr(oracle, "_SURVIVOR_BLOCK", survivor_block)
-    real, paired = oracle._interval, []
+    real, paired = oracle._pair_interval, []
 
-    def counting(a, b, lo, hi, tmp):
-        if lo.ndim == 3:  # the pair stage: (blocks, z^2, z^2)
-            paired.append(lo.shape[0])
-        real(a, b, lo, hi, tmp)
+    def counting(a, b, lo, hi):
+        paired.append(lo.shape[0])
+        real(a, b, lo, hi)
 
-    monkeypatch.setattr(oracle, "_interval", counting)
+    monkeypatch.setattr(oracle, "_pair_interval", counting)
     per = oracle._PAIR_BLOCK // 4 ** 4
     for seed in (1, 2, 9, 11, 13, 14, 23):
         args, origins = _block(4, 1.0, seed, 1, 0, 2)
@@ -251,7 +279,7 @@ def test_the_search_pairs_no_live_block_twice(monkeypatch, survivor_block):
         hit, indices = oracle.first_solvable_position(*args)
         run_end = np.searchsorted(position, hit, side="right")
         assert hit <= 2
-        assert sum(paired) <= -(-run_end // per) * per
+        assert 0 < sum(paired) <= -(-run_end // per) * per
         window = WeightWindow(w=9, z=4, origin=tuple(int(v) for v in origins[hit]),
                               delta_p=1.0)
         assert indices.tobytes() == oracle.enumerate_solutions(window).indices.tobytes()
