@@ -22,20 +22,24 @@ here against reference_enumerate's [0], and origin
 (-3, -1, 6, 5, 3, -4, -4, -4, -5) gives [0] against []. The fix is ROADMAP
 item 1, "make the oracle mark what the network classifies".
 
-The kernel has one bound stage (_product_blocks) and one pair stage. Its
-input is a product of keys: an a-side key (weights 0-2 and 6), a b-side key
-(3-5 and 7) and an output bias key (8), every (a key, b key, c key) triple
-being a window, such as a block of the trainer's ring enumeration. The
-tables are built once per key, a block's bounds are the outer sum of the two
-sides' per-key row bounds, broadcast with no per-window gather, and the live
-blocks reach the pair stage in window order, each window's as one run. The
-pair stage forms each side's row products once, as one table per side
+The kernel has one bound stage (_product_blocks) and one pair stage
+(_solutions). Its input is a product of keys: an a-side key (weights 0-2
+and 6), a b-side key (3-5 and 7) and an output bias key (8), every (a key,
+b key, c key) triple being a window, such as a block of the trainer's ring
+enumeration. The tables are built once per key, and a block's bounds are
+the outer sum of the two sides' per-key row bounds, broadcast with no
+per-window gather. The bound stage is the one place that numbers rows and
+places windows: each live block leaves it as (a row, b row, c key, window
+position), a side's rows numbered key-major as in the pair stage's tables,
+sorted by position so that each window's blocks are one run. The pair
+stage forms each side's row products once, as one table per side
 (_row_table), and each pair chunk gathers its blocks' rows from it. Pattern
 00's hidden input is the hidden bias alone, so a row's 00 products are one
-value and s_00 is one sum per block. The pair stage yields the solutions of
-a window once its run has ended, so first_solvable_position stops within
-one pair chunk of the end of the first solvable window's run and takes that
-window's solution indices from the same pass, pairing no live block twice.
+value and s_00 is one sum per block. The pair stage yields whole windows,
+as (position, sorted solution indices), in increasing position, each once
+its run has ended. first_solvable_position is its first yield: it stops
+within one pair chunk of the end of the first solvable window's run,
+pairing no live block twice.
 A single window is a product of one key of each kind, so
 enumerate_solutions is first_solvable_position on it, and the trainer's
 solution set of a window is the one enumerate_solutions gives.
@@ -225,14 +229,16 @@ def _product_blocks(a_bounds: np.ndarray, b_bounds: np.ndarray, c: np.ndarray,
     is a window, at position positions[0][a key] + positions[1][b key] +
     positions[2][c key].
 
-    A row of a side is an (output weight and hidden bias row, key) pair. The
-    rows that cannot be in a live block go first (_live_rows); the block
-    bounds of the rest are the outer sum of the two sides' row bounds,
-    formed by broadcasting in chunks of about _TABLE_BLOCK elements over the
-    a rows, with no per-window gather. Returns the live (a row, b row, a key,
-    b key, c key) blocks, equal-length arrays in increasing window position."""
-    na, nb, (z, nc) = a_bounds.shape[2], b_bounds.shape[2], c.shape
-    a_all, b_all = a_bounds.reshape(4, -1), b_bounds.reshape(4, -1)
+    A side's rows are numbered key-major, row key * z^2 + r being bound row r
+    of that key, as in _row_table. The rows that cannot be in a live block
+    go first (_live_rows); the block bounds of the rest are the outer sum of
+    the two sides' row bounds, formed by broadcasting in chunks of about
+    _TABLE_BLOCK elements over the a rows, with no per-window gather. Returns
+    the live blocks as (a row, b row, c key, window position), equal-length
+    arrays sorted by position; a window's blocks keep their (a row, b row)
+    order."""
+    z, nc = c.shape
+    a_all, b_all = (x.transpose(0, 2, 1).reshape(4, -1) for x in (a_bounds, b_bounds))
     ia, ib = _live_rows(a_all, b_all, c), _live_rows(b_all, a_all, c)
     b = b_all[:, None, ib]
     step = max(1, _TABLE_BLOCK // max(1, ib.size))
@@ -250,10 +256,10 @@ def _product_blocks(a_bounds: np.ndarray, b_bounds: np.ndarray, c: np.ndarray,
         kc, ja, jb = np.unravel_index(np.flatnonzero(live), live.shape)
         chunks.append((ia[i + ja], ib[jb], kc))
     ja, jb, kc = (np.concatenate(col) for col in zip(*chunks))
-    (ra, ka), (rb, kb) = np.divmod(ja, na), np.divmod(jb, nb)
     pa, pb, pc = positions
-    order = np.argsort(pa[ka] + pb[kb] + pc[kc], kind="stable")
-    return ra[order], rb[order], ka[order], kb[order], kc[order]
+    position = pa[ja // (z * z)] + pb[jb // (z * z)] + pc[kc]
+    order = np.argsort(position, kind="stable")
+    return ja[order], jb[order], kc[order], position[order]
 
 
 def _row_table(w: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -285,18 +291,16 @@ def _pair_interval(a: np.ndarray, b: np.ndarray, lo: np.ndarray,
 
 
 def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
-    """Yield the solution vertices of the live blocks of the bound stage,
-    window by window.
+    """Yield the solvable windows of the live blocks of the bound stage, as
+    (position, sorted int64 solution indices in that window), in increasing
+    position.
 
     a_side and b_side are _side tables per key and c is (z, nc) output-bias
-    values per key. live_blocks are the (a row, b row, a key, b key, c key)
-    blocks _product_blocks returns, each window's blocks one run. Each yield
-    is (block, offset, c index), equal-length arrays with one entry per
-    solution, the block indexing live_blocks; _vertex_indices turns them into
-    vertex indices, each in the window of its key triple. A yield holds every
-    solution of the windows whose runs ended since the previous one, and no
-    other, so the first yield holds the whole solution set of the first
-    solvable window.
+    values per key. live_blocks are the (a row, b row, c key, window
+    position) blocks _product_blocks returns, sorted by position, so each
+    window's blocks are one run. A window is yielded with all of its
+    solutions once its run has ended, so the first yield is the whole
+    solution set of the first solvable window.
 
     The network factors: h1 depends on weights 0-2 only, h2 on 3-5, and
     y = a*h1 + b*h2 - c. A vertex solves XOR when s_p - c >= 0.5 holds
@@ -320,45 +324,41 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
 
     The pair stage builds each side's rows once, as a (keys * z^2, 4, z^2)
     table (_row_table) whose row key * z^2 + r holds the same products
-    fl(w * h) that bound row r of that key, so gathering a block's rows from
-    it changes no value. The live blocks get the pairwise interval in chunks
-    of about _PAIR_BLOCK elements (_pair_interval), each chunk taking its
-    rows from the tables by one flat row index per side. Pattern 00's
-    hidden input is fl(fl(0*u + 0*v) - t) for weights u, v and hidden bias
-    t, which is -t exactly for every finite u and v (up to the sign of a
-    zero, which exp does not see), so a row's 00 products are one value,
-    bit for bit, at all its z^2 settings. So s_00 is one sum per block, and max(s_00, s_11)
+    fl(w * h) that bound row r of that key, and the bound stage numbers its
+    rows the same way, so gathering a block's rows from it changes no value.
+    The live blocks get the pairwise interval in chunks of about _PAIR_BLOCK
+    elements (_pair_interval), each chunk taking its rows from the tables by
+    one row index per side. Pattern 00's hidden input is
+    fl(fl(0*u + 0*v) - t) for weights u, v and hidden bias t, which is -t
+    exactly for every finite u and v (up to the sign of a zero, which exp
+    does not see), so a row's 00 products are one value, bit for bit, at all
+    its z^2 settings. So s_00 is one sum per block, and max(s_00, s_11)
     takes it as the same float it is at every pair. No c passes where
     lo >= hi, so only the pairs with lo < hi are kept. One pass over the
     output biases tests each c on those alone: once the pair chunks have
     kept about _SURVIVOR_BLOCK of them, and at the end of each pair chunk in
-    which a window's run ends. The hits of windows whose runs have ended are
-    yielded there; those of a run that goes on past the chunk are held for
-    the next run end. So the first yield comes within one pair chunk of the
-    end of the first solvable window's run, and no live block is paired
-    twice. Keeping a whole window's survivors instead costs megabytes at
-    z=4, where many pairs have lo < hi.
+    which a window's run ends. The windows whose runs have ended are yielded
+    there; the hits of a run that goes on past the chunk are held for the
+    next run end. So the first yield comes within one pair chunk of the end
+    of the first solvable window's run, and no live block is paired twice.
+    Keeping a whole window's survivors instead costs megabytes at z=4, where
+    many pairs have lo < hi.
     """
     (h1, a), (h2, b) = a_side[:2], b_side[:2]
-    ra, rb, ka, kb, kc = live_blocks
-    if not ra.size:
+    ia, ib, kc, position = live_blocks
+    if not ia.size:
         return
     z = a.shape[0]
     z2, z4 = z * z, z ** 4
     a_rows, b_rows = _row_table(a, h1), _row_table(b, h2)
-    ia, ib = ka * z2 + ra, kb * z2 + rb  # the live blocks' rows in the tables
     per = max(1, _PAIR_BLOCK // z4)  # blocks per pair chunk
     lo_buf, hi_buf = np.empty(per * z4), np.empty(per * z4)
     live_buf = np.empty(per * z4, dtype=bool)
-    keys = np.stack((ka, kb, kc))
-    last = np.append(np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)),
-                     ra.size - 1)  # the last live block of each window's run
-    # per pair chunk: the live blocks of the runs ended by its end (the
-    # windows whole so far), 0 if no run ends in it
-    ended = np.zeros(-(-ra.size // per), dtype=np.int64)
-    np.maximum.at(ended, last // per, last + 1)
+    # per pair chunk: the live blocks of the windows whole by its end; no
+    # run ends in the chunk when this is at most the chunk's start
+    whole = np.append(np.searchsorted(position, position[per::per]), ia.size)
     kept, n_kept, held = [], 0, []
-    for j in range(0, ra.size, per):
+    for j in range(0, ia.size, per):
         ia_j, ib_j = ia[j:j + per], ib[j:j + per]
         size = ia_j.size * z4
         lo, hi, live = lo_buf[:size], hi_buf[:size], live_buf[:size]
@@ -368,8 +368,8 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
         flat = live.nonzero()[0]
         kept.append((flat + j * z4, lo[flat], hi[flat]))
         n_kept += flat.size
-        whole = ended[j // per]
-        if n_kept < _SURVIVOR_BLOCK and not whole:
+        ended = whole[j // per] > j
+        if n_kept < _SURVIVOR_BLOCK and not ended:
             continue
         flat, lo_v, hi_v = (np.concatenate(col) for col in zip(*kept))
         kept, n_kept = [], 0
@@ -377,23 +377,28 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
         ci, hit = np.divmod(np.flatnonzero(_solves(lo_v, hi_v, c[:, kc[blk]])),
                             flat.size)
         held.append((blk[hit], off[hit], ci))
-        if not whole:
+        if not ended:
             continue
         blk, off, ci = (np.concatenate(col) for col in zip(*held))
-        mine = blk < whole
+        mine = blk < whole[j // per]
         held = [(blk[~mine], off[~mine], ci[~mine])]
         if mine.any():
-            yield blk[mine], off[mine], ci[mine]
+            blk = blk[mine]
+            found = _vertex_indices(ia[blk], ib[blk], off[mine], ci[mine], z)
+            order = np.lexsort((found, position[blk]))
+            windows, first = np.unique(position[blk[order]], return_index=True)
+            yield from zip(windows.tolist(), np.split(found[order], first[1:]))
 
 
-def _vertex_indices(ra: np.ndarray, rb: np.ndarray, off: np.ndarray,
+def _vertex_indices(ia: np.ndarray, ib: np.ndarray, off: np.ndarray,
                     ci: np.ndarray, z: int) -> np.ndarray:
-    """Vertex indices, each in the window of its key triple, of solutions
-    as _solutions gives them: vertex (s1, s2) = divmod(offset, z^2) of block
-    (a row, b row) with output bias c index ci has index
-    s1 + z^2 (ra % z) + z^3 (s2 + z^2 (rb % z)) + z^6 (ra // z) + z^7 (rb // z)
-    + z^8 ci."""
+    """Vertex indices, each in its own window, of solutions in the live
+    blocks (a row ia, b row ib) at offset off with output bias c index ci:
+    vertex (s1, s2) = divmod(off, z^2) of bound rows ra = ia % z^2 and
+    rb = ib % z^2 has index s1 + z^2 (ra % z) + z^3 (s2 + z^2 (rb % z))
+    + z^6 (ra // z) + z^7 (rb // z) + z^8 ci."""
     z2, z3 = z * z, z ** 3
+    ra, rb = ia % z2, ib % z2
     s1, s2 = np.divmod(off, z2)
     return (s1 + z2 * (ra % z) + z3 * (s2 + z2 * (rb % z))
             + z ** 6 * (ra // z) + z ** 7 * (rb // z) + z ** 8 * ci)
@@ -410,13 +415,11 @@ def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray,
     order; a_keys and b_keys are (n, 4) integers, c_keys (n, 1)). Window
     (i, j, l) sits at position positions[0][i] + positions[1][j] +
     positions[2][l]. The tables are built once per key, not once per window,
-    both sides' in one call, and the kernel (_solutions) pairs the blocks
-    the bound stage (_product_blocks) leaves live, in increasing position.
-    Its first yield holds the whole solution sets of the windows whose runs
-    of live blocks ended within one pair chunk, so the smallest position
-    among them is the first solvable window, and its solutions there are
-    all of its solutions. The windows after that pair chunk are not paired.
-    The caller checks that the weights are finite.
+    both sides' in one call; the bound stage (_product_blocks) leaves the
+    live blocks in increasing position, and the first window the kernel
+    (_solutions) yields is the answer. The windows after the pair chunk in
+    which its run of live blocks ends are not paired. The caller checks
+    that the weights are finite.
     """
     na = len(a_keys)
     both = _side(_weight_values(np.concatenate([a_keys, b_keys]), z, delta_p), 0, 3)
@@ -424,16 +427,7 @@ def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray,
                       for s in (slice(None, na), slice(na, None)))
     c = _weight_values(c_keys, z, delta_p)[0]
     live_blocks = _product_blocks(a_side[2], b_side[2], c, positions)
-    first = next(_solutions(a_side, b_side, c, live_blocks), None)
-    if first is None:
-        return None
-    blk, off, ci = first
-    ra, rb, ka, kb, kc = (col[blk] for col in live_blocks)
-    pa, pb, pc = positions
-    position = pa[ka] + pb[kb] + pc[kc]
-    hit = position.min()
-    mine = position == hit
-    return int(hit), np.sort(_vertex_indices(ra[mine], rb[mine], off[mine], ci[mine], z))
+    return next(_solutions(a_side, b_side, c, live_blocks), None)
 
 
 def enumerate_solutions(window: WeightWindow) -> SolutionSet:

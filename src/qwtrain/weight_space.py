@@ -118,11 +118,8 @@ def index_to_weights(idx: int, window: WeightWindow) -> np.ndarray:
 
 def _digit_values(r: int, z: int) -> np.ndarray:
     """Displacement value of each ring-r digit: 0, +z, -z, ..., +rz, -rz."""
-    vals = np.zeros(2 * r + 1, dtype=np.int64)
-    for d in range(1, 2 * r + 1):
-        mag = (d + 1) // 2
-        vals[d] = mag * z if d % 2 == 1 else -mag * z
-    return vals
+    d = np.arange(2 * r + 1, dtype=np.int64)
+    return (d + 1) // 2 * z * np.where(d % 2, 1, -1)
 
 
 def ring_size(w: int, r: int) -> int:

@@ -186,22 +186,54 @@ def _block(z, delta_p, seed, r, start, m):
     return args, origin + (digits + 1) // 2 * z * np.where(digits % 2, 1, -1)
 
 
+@pytest.mark.parametrize("z,delta_p,seed,m", [(2, 0.5, 7, 9), (3, 0.5, 1, 5),
+                                              (4, 1.0, 1, 3)], ids=("z2", "z3", "z4"))
+def test_bound_rows_are_the_row_tables_rows(monkeypatch, z, delta_p, seed, m):
+    # the bound stage and the pair stage number a side's rows the same way:
+    # the bound row _product_blocks tests as row i is the extremes of the
+    # row table's row i over its z^2 settings (the minimum for 00 and 11,
+    # the maximum for 01 and 10), bit for bit, and its live blocks are
+    # live on those extremes
+    (a_keys, b_keys, c_keys, positions, _, _), _ = _block(z, delta_p, seed, 1, 0, m)
+    sides = [oracle._side(oracle._weight_values(keys, z, delta_p), 0, 3)
+             for keys in (a_keys, b_keys)]
+    c = oracle._weight_values(c_keys, z, delta_p)[0]
+    real, tested = oracle._live_rows, []
+
+    def recording(x, y, c):
+        tested.append(x)
+        return real(x, y, c)
+
+    monkeypatch.setattr(oracle, "_live_rows", recording)
+    ra, rb, kc, _ = oracle._product_blocks(sides[0][2], sides[1][2], c, positions)
+    extremes = []
+    for (h, w, _), bounds in zip(sides, tested):
+        rows = oracle._row_table(w, h)
+        ext = np.stack([rows[:, 0].min(1), rows[:, 1].max(1),
+                        rows[:, 2].max(1), rows[:, 3].min(1)])
+        assert ext.tobytes() == bounds.tobytes()
+        extremes.append(ext)
+    assert ra.size
+    lo, hi = (np.empty(ra.size) for _ in range(2))
+    oracle._interval(extremes[0][:, ra], extremes[1][:, rb], lo, hi, np.empty(ra.size))
+    assert oracle._solves(lo, hi, c[:, kc]).any(axis=0).all()
+
+
 def _product_pass(a_keys, b_keys, c_keys, positions, z, delta_p):
     """The shared kernel over the whole of a product block's live blocks:
     the window position of each live block, and the kernel's yields."""
     a_side, b_side = (oracle._side(oracle._weight_values(keys, z, delta_p), 0, 3)
                       for keys in (a_keys, b_keys))
     c = oracle._weight_values(c_keys, z, delta_p)[0]
-    pa, pb, pc = positions
     blocks = oracle._product_blocks(a_side[2], b_side[2], c, positions)
-    _, _, ka, kb, kc = blocks
-    return pa[ka] + pb[kb] + pc[kc], oracle._solutions(a_side, b_side, c, blocks)
+    return blocks[3], oracle._solutions(a_side, b_side, c, blocks)
 
 
 def _product_solution_positions(*args):
-    """Window position of every solution of a product block."""
-    position, yields = _product_pass(*args)
-    return np.concatenate([np.empty(0, np.int64)] + [position[b] for b, *_ in yields])
+    """Window position of every solution of a product block, and the
+    yielded windows."""
+    windows = list(_product_pass(*args)[1])
+    return np.array([p for p, found in windows for _ in found], np.int64), windows
 
 
 @pytest.mark.parametrize("z,delta_p,seed,r,start,m", [
@@ -210,25 +242,29 @@ def _product_solution_positions(*args):
     ids=("z2-ring1-seed7", "z2-ring1-seed11", "z2-ring2", "z4-first", "z4-27",
          "z3-243"))
 def test_block_solutions_match_interval_counts(z, delta_p, seed, r, start, m):
-    # the bound stage drops no solution a brute-force count finds, and it
-    # hands the pair stage the windows in position order, so the first
-    # solvable window is the one first_solvable_position returns, with the
-    # solution indices enumerate_solutions gives it
+    # the bound stage drops no solution a brute-force count finds, and the
+    # kernel yields each solvable window once, in strictly increasing
+    # position, with the solution indices enumerate_solutions gives it; so
+    # its first yield is what first_solvable_position returns
     args, origins = _block(z, delta_p, seed, r, start, m)
-    counts = np.bincount(_product_solution_positions(*args), minlength=origins.shape[0])
+    positions, windows = _product_solution_positions(*args)
+    counts = np.bincount(positions, minlength=origins.shape[0])
     assert np.array_equal(counts, interval_counts(origins, z, delta_p))
     assert counts.any()
+    assert all(p < q for (p, _), (q, _) in zip(windows, windows[1:]))
+    for position, indices in windows:
+        window = WeightWindow(w=9, z=z, origin=tuple(int(v) for v in origins[position]),
+                              delta_p=delta_p)
+        assert indices.tobytes() == oracle.enumerate_solutions(window).indices.tobytes()
     first, indices = oracle.first_solvable_position(*args)
     assert first == np.flatnonzero(counts)[0]
-    window = WeightWindow(w=9, z=z, origin=tuple(int(v) for v in origins[first]),
-                          delta_p=delta_p)
-    assert indices.tobytes() == oracle.enumerate_solutions(window).indices.tobytes()
+    assert indices.tobytes() == windows[0][1].tobytes()
 
 
 def test_block_solutions_of_a_barren_block_yield_nothing():
     # seed 5's first solvable window is shift 69346, at ring-2 position 51850
     args, origins = _block(2, 0.5, 5, 2, 0, 6)
-    assert _product_solution_positions(*args).size == 0
+    assert _product_solution_positions(*args)[0].size == 0
     assert oracle.first_solvable_position(*args) is None
     assert not interval_counts(origins, 2, 0.5).any()
 
