@@ -21,7 +21,8 @@ One harness in `main` runs every subcommand, in this order:
 Exit codes: 0 success; 1 usage error (bad flag, unreadable or invalid config
 file, or a value the body rejects with ValueError); 2 runtime failure (no
 solvable window within the shift budget, a window too large to enumerate,
-or an I/O error).
+an I/O error, or a failing `reproduce` check, reported after every output
+and the manifest are written).
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ class RunManifest:
     seed: int | None
     version: str
     outputs: list[str]
+
+
+class ChecksFailed(Exception):
+    """Raised by a body that wrote its outputs but whose checks failed, with
+    its (outputs, summary): the harness still writes the manifest and prints
+    the summary, then returns RUNTIME_ERROR."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,7 +222,10 @@ def cmd_reproduce(cfg, out_dir):
         outputs.append(os.path.join(out_dir, name))
         with open(outputs[-1], "w") as fh:
             fh.write(text)
-    return outputs, f"reproduce: report at {outputs[-1]}; {failing} failing checks"
+    summary = f"reproduce: report at {outputs[-1]}; {failing} failing checks"
+    if failing:
+        raise ChecksFailed(outputs, summary)
+    return outputs, summary
 
 
 # ---------------------------------------------------------------- harness
@@ -274,11 +284,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     command = ns.command
+    code = 0
     try:
         cfg = _resolve(ns, command.defaults)
         out_dir = ns.out_dir or os.environ.get(OUT_DIR_ENV, ".")
         os.makedirs(out_dir, exist_ok=True)
-        outputs, summary = command.body(cfg, out_dir)
+        try:
+            outputs, summary = command.body(cfg, out_dir)
+        except ChecksFailed as exc:
+            (outputs, summary), code = exc.args, RUNTIME_ERROR
         manifest = RunManifest(command.name, cfg, cfg.get("seed"), __version__, outputs)
         with open(os.path.join(out_dir, command.manifest(cfg)), "w") as fh:
             json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
@@ -289,7 +303,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     print(summary)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

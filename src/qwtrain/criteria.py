@@ -163,43 +163,64 @@ def line_walk() -> Criterion:
 def weight_search() -> Criterion:
     config = trainer.TrainerConfig(max_window_shifts=reference.TRAIN_MAX_SHIFTS)
     t0 = time.perf_counter()
-    results, failures = [], 0
+    runs = []  # per seed, its result or None for a seed that found no window
     for seed in range(reference.TRAIN_SEEDS):
         try:
-            results.append(trainer.train(replace(config, seed=seed)))
+            runs.append(trainer.train(replace(config, seed=seed)))
         except trainer.NoSolutionError:
-            failures += 1
+            runs.append(None)
     wall = time.perf_counter() - t0
+    results = [r for r in runs if r is not None]
+    failures = len(runs) - len(results)
     marked = [r for r in results if r.outcome in ("AA", "AB")]
     fraction = len(marked) / reference.TRAIN_SEEDS
     errors = sum(r.classification_error != 0 for r in marked)
+    digest = hashlib.sha256()
+    for r in runs:
+        if r is None:
+            digest.update(b"no window;")
+            continue
+        origin = ",".join(map(str, r.window.origin))
+        digest.update(f"{origin},{r.k},{r.shifts_performed},{r.outcome},"
+                      f"{r.vertex_index},".encode())
+        digest.update(r.weights.astype("<f8").tobytes())
+    digest = digest.hexdigest()
     return Criterion(5, f"End-to-end weight search (z=2, seeds 0-{reference.TRAIN_SEEDS - 1})", [
         Check("marked fraction", fraction >= reference.TRAIN_MIN_FRACTION,
               f"{fraction:.4f} >= {reference.TRAIN_MIN_FRACTION} (reference mean 0.9944); "
               f"{failures} seeds found no window within {reference.TRAIN_MAX_SHIFTS} shifts"),
         Check("zero error", errors == 0,
               f"{errors} of {len(marked)} marked outcomes misclassify"),
+        Check("sweep digest", digest.startswith(reference.TRAIN_SWEEP_SHA256),
+              f"sha256 {digest[:16]} against {reference.TRAIN_SWEEP_SHA256} over "
+              f"{len(runs)} seeds"),
     ], {"fraction": fraction, "no_window": failures, "marked": len(marked),
-        "k_seen": sorted({r.k for r in results})}, wall,
+        "k_seen": sorted({r.k for r in results}), "sha256": digest}, wall,
         {"train_steps.csv": lambda path: trainer.export_steps_csv(results, path),
          "train_probabilities.csv": lambda path: trainer.export_probabilities_csv(results, path)})
 
 
 def factored_oracle() -> Criterion:
-    window = WeightWindow(w=9, z=2, origin=reference.ORACLE_ORIGIN,
-                          delta_p=reference.ORACLE_DELTA_P)
+    window, *edges = (WeightWindow(w=9, z=2, origin=origin, delta_p=reference.ORACLE_DELTA_P)
+                      for origin in (reference.ORACLE_ORIGIN, *reference.ORACLE_EDGE_ORIGINS))
     t0 = time.perf_counter()
     serial = oracle.reference_enumerate(window)
     sols = oracle.enumerate_solutions(window)
     errors = sum(mlp.classification_error(index_to_weights(int(i), window)) != 0
                  for i in sols.indices)
+    edge_sets = [(oracle.enumerate_solutions(w).indices.tolist(),
+                  oracle.reference_enumerate(w).indices.tolist()) for w in edges]
     wall = time.perf_counter() - t0
     return Criterion(6, "Factored oracle equals the serial reference", [
         Check("serial reference", np.array_equal(serial.indices, sols.indices),
               f"{sols.k} solutions against {serial.k} from reference_enumerate"),
         Check("solutions found", sols.k > 0, f"k = {sols.k} at origin {window.origin}"),
         Check("re-verified", errors == 0, f"{errors} of {sols.k} solutions misclassify"),
-    ], {"k": sols.k, "indices": sols.indices.tolist()}, wall, {})
+        *(Check(f"half-edge window {i}", fast == slow,
+                f"{fast} against {slow} from reference_enumerate at origin {w.origin}")
+          for i, (w, (fast, slow)) in enumerate(zip(edges, edge_sets), start=1)),
+    ], {"k": sols.k, "indices": sols.indices.tolist(),
+        "half_edge": [fast for fast, _ in edge_sets]}, wall, {})
 
 
 def backprop_baseline() -> Criterion:

@@ -22,6 +22,7 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -114,21 +115,37 @@ def steps_to_max(params: WalkParams) -> tuple[float, int]:
     return t_real, math.ceil(t_real)
 
 
+def _states(op: np.ndarray, state):
+    """Yield `state`, then the state after each further step of `op`, as
+    four Python floats.
+
+    The step is the sparse product over the eight entries of op that are not
+    zero by structure, each row's two products summed left to right: the
+    values of `op @ state`, with no matrix product per step. ValueError
+    unless op has 16 entries and is zero outside those eight.
+    """
+    (a, b, *zero_0), (*zero_1, c, d), (e, f, *zero_2), (*zero_3, g, h) = (
+        np.asarray(op, dtype=float).reshape(4, 4).tolist())
+    if any(zero_0 + zero_1 + zero_2 + zero_3):
+        raise ValueError("op must be zero outside its eight structural entries")
+    x0, x1, x2, x3 = map(float, state)
+    while True:
+        yield x0, x1, x2, x3
+        x0, x1, x2, x3 = a * x0 + b * x1, c * x2 + d * x3, e * x0 + f * x1, g * x2 + h * x3
+
+
 def evolve(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:
-    """Apply `op` exactly `steps` times. No early exit: the step count is
-    decided up front, that being the point of the method."""
+    """Apply `op` exactly `steps` times (_states). No early exit: the step
+    count is decided up front, that being the point of the method."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    out = np.array(state, dtype=float, copy=True)
-    for _ in range(steps):
-        out = op @ out
-    return out
+    return np.array(next(islice(_states(op, state), steps, None)))
 
 
-def outcome_probabilities(state: np.ndarray) -> tuple[float, float, float, float]:
+def outcome_probabilities(state) -> tuple[float, float, float, float]:
     """(p_AA, p_AB, p_BA, p_BB) = squared amplitudes."""
-    p = np.asarray(state, dtype=float) ** 2
-    return (float(p[0]), float(p[1]), float(p[2]), float(p[3]))
+    p0, p1, p2, p3 = (x * x for x in map(float, state))
+    return p0, p1, p2, p3
 
 
 def sample_outcome(state: np.ndarray, rng: np.random.Generator) -> str:
@@ -151,10 +168,8 @@ def iter_probability_trace(params: WalkParams, t_max: int
 
 
 def _trace_rows(op: np.ndarray, state: np.ndarray, t_max: int):
-    yield (0, *outcome_probabilities(state))
-    for t in range(1, t_max + 1):
-        state = op @ state
-        yield (t, *outcome_probabilities(state))
+    for t, x in enumerate(islice(_states(op, state), t_max + 1)):
+        yield (t, *outcome_probabilities(x))
 
 
 def probability_trace(params: WalkParams, t_max: int) -> list[tuple[int, float, float, float, float]]:

@@ -38,7 +38,8 @@ STAGNATION_EPS = 1e-12
 
 
 def sigmoid(x: float) -> float:
-    """Logistic function, stable for large |x|."""
+    """Logistic function, stable for large |x|. The package's one logistic:
+    the oracle's hidden-unit tables take their values from it too."""
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
     z = math.exp(x)

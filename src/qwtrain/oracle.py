@@ -12,15 +12,10 @@ builds the hidden-unit tables (_hidden), skips blocks of vertices whose
 bounds show they hold no solution, and reduces the four pattern sums
 s_p = a*h1 + b*h2 of the rest to one interval, lo = max(s_00, s_11) and
 hi = min(s_01, s_10) (_pair_interval), where an output bias c solves when
-lo - c < 0.5 <= hi - c (_solves). On _hidden's own values that test is the
-four-pattern test bit for bit, but those values are not mlp.sigmoid's:
-_hidden takes 1/(1 + np.exp(-x)) at every x, where mlp.sigmoid takes
-exp(x)/(1 + exp(x)) below 0, with math.exp. So on a vertex whose outputs sit
-on the 0.5 edge the kernel can disagree with mlp.classification_error. At
-z=2 and delta_p 0.5, origin (-4, 0, -2, 6, 2, 4, 6, 6, 5) gives no solution
-here against reference_enumerate's [0], and origin
-(-3, -1, 6, 5, 3, -4, -4, -4, -5) gives [0] against []. The fix is ROADMAP
-item 1, "make the oracle mark what the network classifies".
+lo - c < 0.5 <= hi - c (_solves). The hidden tables hold mlp.sigmoid's
+values, taken once per distinct hidden input, so that test is the
+four-pattern test of mlp.classification_error bit for bit, on the 0.5 edge
+too: the logistic has one definition, in mlp.
 
 The kernel has one bound stage (_product_blocks) and one pair stage
 (_solutions). Its input is a product of keys: an a-side key (weights 0-2
@@ -64,8 +59,6 @@ DEFAULT_VERTEX_CAP = 2 ** 30
 _TABLE_BLOCK = 1 << 15  # float64 elements per chunk of block bounds
 
 _MAGIC = b"QWSOLSET"
-
-_X = np.array(mlp.XOR_INPUTS)
 
 
 class WindowTooLarge(ValueError):
@@ -128,22 +121,30 @@ def reference_enumerate(window: WeightWindow) -> SolutionSet:
 
 
 def _hidden(vals: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
-    """Hidden-unit table sigmoid(x0*w_j + x1*w_{j+1} - w_{j+2}) in float64.
+    """Hidden-unit table mlp.sigmoid(x0*w_j + x1*w_{j+1} - w_{j+2}).
 
     vals is (k, z, n) weight values per dimension and window (or key), the
     window axis last; out is (4, z, z, z, n) scratch. Returns out as (4 patterns, z^3
     settings, n). Weight j sits on the last setting axis, so the flat setting
     index is c_j + z*c_{j+1} + z^2*c_{j+2}: the vertex index's own digit order.
+
+    Each pattern's input is formed, with mlp.forward's operations, at the
+    shape it varies over: -t for pattern 00 (fl(0*u + 0*v) - t, up to the
+    sign of a zero, which sigmoid does not see), v - t for 01, u - t for 10
+    and u + v - t for 11, for weights u = w_j, v = w_{j+1} and bias
+    t = w_{j+2}. mlp.sigmoid runs once per distinct input, and its values are
+    broadcast into the table, so the kernel's hidden outputs are the
+    network's bit for bit.
     """
     z, n = vals.shape[1], vals.shape[2]
-    out[:] = _X[:, 0, None, None, None, None] * vals[j]
-    out += _X[:, 1, None, None, None, None] * vals[j + 1, :, None, :]
-    out -= vals[j + 2, :, None, None, :]
-    np.negative(out, out=out)
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
+    u, v, t = vals[j, None, None], vals[j + 1, None, :, None], vals[j + 2, :, None, None]
+    inputs = (-t, v - t, u - t, u + v - t)
+    distinct, inverse = np.unique(np.concatenate([x.ravel() for x in inputs]),
+                                  return_inverse=True)
+    h = np.array([mlp.sigmoid(x) for x in distinct.tolist()])[inverse]
+    for p, x in enumerate(inputs):
+        out[p] = h[:x.size].reshape(x.shape)
+        h = h[x.size:]
     return out.reshape(4, z ** 3, n)
 
 
@@ -309,11 +310,9 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
     hi - c >= 0.5 and lo - c < 0.5 (_solves), the four-pattern test bit for
     bit on these h values: for a fixed c, s -> fl(s - c) is monotone, so
     min(fl(s_01 - c), fl(s_10 - c)) = fl(hi - c), and likewise for the max.
-    The h values are _hidden's, not mlp.sigmoid's, so on the 0.5 edge the
-    kernel can mark a vertex that mlp.classification_error rejects, or miss
-    one it accepts (see the module docstring; the fix is ROADMAP item 1).
-    Finite weights (WeightWindow, the trainer's check on its keys) keep NaN
-    out of it.
+    The h values are mlp.sigmoid's (_hidden), so this is the test
+    mlp.classification_error makes, on the 0.5 edge too. Finite weights
+    (WeightWindow, the trainer's check on its keys) keep NaN out of it.
 
     Each side's table is split into rows of z^2 products that share an output
     weight and a hidden bias (_row_bounds). The bound stage tests each
@@ -328,12 +327,10 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
     rows the same way, so gathering a block's rows from it changes no value.
     The live blocks get the pairwise interval in chunks of about _PAIR_BLOCK
     elements (_pair_interval), each chunk taking its rows from the tables by
-    one row index per side. Pattern 00's hidden input is
-    fl(fl(0*u + 0*v) - t) for weights u, v and hidden bias t, which is -t
-    exactly for every finite u and v (up to the sign of a zero, which exp
-    does not see), so a row's 00 products are one value, bit for bit, at all
-    its z^2 settings. So s_00 is one sum per block, and max(s_00, s_11)
-    takes it as the same float it is at every pair. No c passes where
+    one row index per side. _hidden takes pattern 00's hidden value from
+    the hidden bias alone, so a row's 00 products are one value, bit for
+    bit, at all its z^2 settings. So s_00 is one sum per block, and
+    max(s_00, s_11) takes it as the same float it is at every pair. No c passes where
     lo >= hi, so only the pairs with lo < hi are kept. One pass over the
     output biases tests each c on those alone: once the pair chunks have
     kept about _SURVIVOR_BLOCK of them, and at the end of each pair chunk in

@@ -77,11 +77,22 @@ LINE_PEAK_MIN, LINE_PEAK_MAX = 60, 80  # bounds on the peak's |n|
 TRAIN_SEEDS = 1000
 TRAIN_MAX_SHIFTS = 100000
 TRAIN_MIN_FRACTION = 0.95
+# Prefix of the sha256 over the runs in seed order: per run, its window
+# origin, k, shifts, outcome and vertex index as comma-terminated ASCII,
+# then its weights as little-endian float64; a seed that finds no window
+# adds "no window;". Any changed run fails, not only a moved fraction.
+TRAIN_SWEEP_SHA256 = "85b490d407a86817"
 
 # The factored oracle against the serial reference: a z=2 window built
 # around a known zero-error weight vector.
 ORACLE_ORIGIN = (1, 1, 2, -3, -3, 2, -2, -3, -2)
 ORACLE_DELTA_P = 0.5
+# Two z=2 windows (same delta_p) whose vertex 0 has outputs at 0.5 exactly
+# in real arithmetic, where rounding decides: vertex 0 of the first solves,
+# and vertex 0 of the second misclassifies one pattern. An oracle whose
+# hidden unit is not mlp.sigmoid's, bit for bit, misses the one and marks
+# the other.
+ORACLE_EDGE_ORIGINS = ((-4, 0, -2, 6, 2, 4, 6, 6, 5), (-3, -1, 6, 5, 3, -4, -4, -4, -5))
 
 # Invariant suite: random (N, k, l) triples checked for unitarity, and the
 # steps over which the norm is checked.

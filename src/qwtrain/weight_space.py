@@ -116,10 +116,14 @@ def index_to_weights(idx: int, window: WeightWindow) -> np.ndarray:
     return coords_to_weights(index_to_coords(idx, window), window)
 
 
+@functools.lru_cache(maxsize=64)
 def _digit_values(r: int, z: int) -> np.ndarray:
-    """Displacement value of each ring-r digit: 0, +z, -z, ..., +rz, -rz."""
+    """Displacement value of each ring-r digit, read-only: 0, +z, -z, ...,
+    +rz, -rz."""
     d = np.arange(2 * r + 1, dtype=np.int64)
-    return (d + 1) // 2 * z * np.where(d % 2, 1, -1)
+    values = (d + 1) // 2 * z * np.where(d % 2, 1, -1)
+    values.flags.writeable = False
+    return values
 
 
 def ring_size(w: int, r: int) -> int:
@@ -153,8 +157,9 @@ def ring_block_keys(z: int, r: int, start: int, m: int, dims):
     When groups of dims partition range(w), the block is the product of their
     keys: the position start + the sum of one key offset per group.
     Positions of the inner cube (every digit below 2r-1) are not skipped.
-    The free digits and offsets are built once per (b, m, dims); the offsets
-    returned are read-only. ValueError if start is not a multiple of b^m.
+    The free digits and offsets are built once per (b, m, dims), and the
+    digit values once per (r, z); the offsets returned are read-only.
+    ValueError if start is not a multiple of b^m.
     """
     base = 2 * r + 1
     if start % base ** m:

@@ -43,12 +43,14 @@ def test_criterion_4_line_walk_structure(reproduce_run):
 
 
 def test_criterion_5_end_to_end_search_over_1000_seeds(reproduce_run):
-    assert passes(reproduce_run, 5, "marked fraction", "zero error")["wall_s"] < 60.0
+    assert passes(reproduce_run, 5, "marked fraction", "zero error",
+                  "sweep digest")["wall_s"] < 60.0
 
 
 def test_criterion_6_parallel_oracle_equals_serial_reference(reproduce_run):
     assert passes(reproduce_run, 6, "serial reference", "solutions found",
-                  "re-verified")["wall_s"] < 1.0
+                  "re-verified", "half-edge window 1",
+                  "half-edge window 2")["wall_s"] < 1.0
 
 
 def test_criterion_7_backprop_baseline_trends(reproduce_run):

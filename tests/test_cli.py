@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from qwtrain import cli
+from qwtrain import cli, criteria
 
 
 def run(args):
@@ -293,6 +293,7 @@ def test_epochs_summary_matches_hand_stats():
 
 
 def test_reproduce_end_to_end(reproduce_run):
+    assert reproduce_run.code == 0
     assert "; 0 failing checks" in reproduce_run.stdout
     manifest = json.loads((reproduce_run.out_dir / "reproduce.manifest.json").read_text())
     assert manifest["config"] == {}
@@ -303,3 +304,22 @@ def test_reproduce_end_to_end(reproduce_run):
     report = (reproduce_run.out_dir / "report.md").read_text()
     assert "k = 3240" in report
     assert "FAIL" not in report
+
+
+def test_reproduce_with_a_failing_check_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    # every output and the manifest are still written, then the exit code is 2
+    def stub():
+        return criteria.Criterion(
+            1, "stub", [criteria.Check("holds", True, "fine"),
+                        criteria.Check("breaks", False, "wrong")],
+            {}, 0.0, {"stub.csv": lambda path: open(path, "w").close()})
+
+    monkeypatch.setattr(criteria, "CRITERIA", (stub,))
+    assert run(["reproduce", "--out-dir", str(tmp_path)]) == cli.RUNTIME_ERROR
+    assert "; 1 failing checks" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "reproduce.manifest.json").read_text())
+    assert [os.path.basename(p) for p in manifest["outputs"]] == [
+        "stub.csv", "criteria.json", "report.md"]
+    for path in manifest["outputs"]:
+        assert os.path.exists(path), path
+    assert "- breaks: wrong -> FAIL" in (tmp_path / "report.md").read_text()

@@ -98,6 +98,28 @@ def test_evolve_applies_exact_step_count():
     assert lw.evolve(s0, op, 0) == pytest.approx(s0)
 
 
+@given(valid_params, st.integers(min_value=0, max_value=400))
+@settings(max_examples=100, deadline=None)
+def test_evolve_equals_repeated_matrix_products_bit_for_bit(params, steps):
+    op = lw.build_operator(lw.angles(params))
+    state = lw.initial_state(params)
+    expect = state.copy()
+    for _ in range(steps):
+        expect = op @ expect
+    assert lw.evolve(state, op, steps).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("row,col", [(0, 2), (1, 0), (2, 3), (3, 1)])
+def test_evolve_refuses_an_op_with_a_structural_zero_filled(row, col):
+    op = lw.build_operator(lw.angles(lw.WalkParams(N=8, k=2, l=1)))
+    op[row, col] = 1e-300
+    state = lw.initial_state(lw.WalkParams(N=8, k=2, l=1))
+    with pytest.raises(ValueError, match="structural"):
+        lw.evolve(state, op, 3)
+    with pytest.raises(ValueError, match="structural"):
+        next(lw._trace_rows(op, state, 3))
+
+
 def test_outcome_probabilities_sum_to_one():
     params = lw.WalkParams(N=512, k=12, l=1)
     state = lw.evolve(lw.initial_state(params),

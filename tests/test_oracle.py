@@ -5,11 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import interval_counts, shift_displacements
-from qwtrain import mlp, oracle
+from qwtrain import mlp, oracle, reference, trainer
 from qwtrain.weight_space import (WeightWindow, index_to_weights, random_window,
                                   ring_block_keys, to_descriptor, window_size)
 
@@ -321,15 +321,49 @@ def test_the_search_pairs_no_live_block_twice(monkeypatch, survivor_block):
         assert indices.tobytes() == oracle.enumerate_solutions(window).indices.tobytes()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_enumerate_marks_what_the_network_classifies_on_the_half_edge():
-    # outputs at 0.5 exactly in real arithmetic, where rounding decides: the
-    # oracle's hidden tables are not mlp.sigmoid's, so it misses vertex 0 of
-    # the first window and marks vertex 0 of the second
-    for origin in ((-4, 0, -2, 6, 2, 4, 6, 6, 5), (-3, -1, 6, 5, 3, -4, -4, -4, -5)):
+    # outputs at 0.5 exactly in real arithmetic, where rounding decides:
+    # vertex 0 of the first window solves, and of the second does not
+    for origin, expect in zip(reference.ORACLE_EDGE_ORIGINS, ([0], [])):
         window = WeightWindow(w=9, z=2, origin=origin, delta_p=0.5)
-        assert np.array_equal(oracle.enumerate_solutions(window).indices,
-                              oracle.reference_enumerate(window).indices)
+        assert oracle.enumerate_solutions(window).indices.tolist() == expect
+        assert oracle.reference_enumerate(window).indices.tolist() == expect
+
+
+def _network_solutions(window):
+    """Vertex indices whose weights mlp.classification_error accepts."""
+    return np.array([i for i in range(window_size(window))
+                     if mlp.classification_error(index_to_weights(i, window).tolist()) == 0],
+                    dtype=np.int64)
+
+
+def _knife_edge(first, a, delta_p):
+    """z=2 origin whose vertex 0 has h2 = 1 - h1 and c = a - 0.5 in real
+    arithmetic, so every output is 0.5 there: hidden unit 1's weights and
+    bias at origin coordinates `first`, hidden unit 2's at their negatives,
+    both output weights at a. Vertex 0's weight at origin coordinate o is
+    delta_p * (o - 1), so coordinate 2 - o negates it."""
+    w0, w1, t = first
+    return (w0, w1, t, 2 - w0, 2 - w1, 2 - t, a, a, a - round(0.5 / delta_p))
+
+
+@given(st.tuples(*[st.integers(-12, 12)] * 3), st.integers(-12, 12),
+       st.sampled_from((0.5, 0.25, 0.1)))
+@example((-4, 0, -2), 6, 0.5)  # reference.ORACLE_EDGE_ORIGINS
+@example((-3, -1, 6), -4, 0.5)
+@settings(max_examples=100, deadline=None)
+def test_knife_edge_windows_mark_what_the_network_classifies(first, a, delta_p):
+    start = WeightWindow(w=9, z=2, origin=_knife_edge(first, a, delta_p), delta_p=delta_p)
+    expect = _network_solutions(start)
+    assert np.array_equal(oracle.enumerate_solutions(start).indices, expect)
+    config = trainer.TrainerConfig(z=2, delta_p=delta_p, max_window_shifts=64)
+    try:
+        window, sols, shifts = trainer.find_solvable_window(start, config)
+    except trainer.NoSolutionError:
+        assert expect.size == 0
+        return
+    assert (shifts == 0) == (expect.size > 0)
+    assert np.array_equal(sols.indices, _network_solutions(window))
 
 
 def test_empty_window_yields_empty_set():
