@@ -333,8 +333,7 @@ def test_enumerate_marks_what_the_network_classifies_on_the_half_edge():
 def _network_solutions(window):
     """Vertex indices whose weights mlp.classification_error accepts."""
     return np.array([i for i in range(window_size(window))
-                     if mlp.classification_error(index_to_weights(i, window).tolist()) == 0],
-                    dtype=np.int64)
+                     if oracle.evaluate_vertex(i, window)], dtype=np.int64)
 
 
 def _knife_edge(first, a, delta_p):
