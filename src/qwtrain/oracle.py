@@ -11,30 +11,36 @@ only on weights 3-5, and the output is y = a*h1 + b*h2 - c. One kernel
 builds the hidden-unit tables (_hidden), skips blocks of vertices whose
 bounds show they hold no solution, and reduces the four pattern sums
 s_p = a*h1 + b*h2 of the rest to one interval, lo = max(s_00, s_11) and
-hi = min(s_01, s_10) (_pair_interval), where an output bias c solves when
+hi = min(s_01, s_10), where an output bias c solves when
 lo - c < 0.5 <= hi - c (_solves). The hidden tables hold mlp.sigmoid's
 values, taken once per distinct hidden input, so that test is the
 four-pattern test of mlp.classification_error bit for bit, on the 0.5 edge
 too: the logistic has one definition, in mlp.
 
-The kernel has one bound stage (_product_blocks) and one pair stage
-(_solutions). Its input is a product of keys: an a-side key (weights 0-2
-and 6), a b-side key (3-5 and 7) and an output bias key (8), every (a key,
-b key, c key) triple being a window, such as a block of the trainer's ring
-enumeration. The tables are built once per key, and a block's bounds are
-the outer sum of the two sides' per-key row bounds, broadcast with no
-per-window gather. The bound stage is the one place that numbers rows and
-places windows: each live block leaves it as (a row, b row, c key, window
-position), a side's rows numbered key-major as in the pair stage's tables,
-sorted by position so that each window's blocks are one run. The pair
-stage forms each side's row products once, as one table per side
-(_row_table), and each pair chunk gathers its blocks' rows from it. Pattern
-00's hidden input is the hidden bias alone, so a row's 00 products are one
-value and s_00 is one sum per block. The pair stage yields whole windows,
-as (position, sorted solution indices), in increasing position, each once
-its run has ended. first_solvable_position is its first yield: it stops
-within one pair chunk of the end of the first solvable window's run,
-pairing no live block twice.
+The kernel works on three levels: rows, then sub-blocks, then pairs. Its
+input is a product of keys: an a-side key (weights 0-2 and 6), a b-side
+key (3-5 and 7) and an output bias key (8), every (a key, b key, c key)
+triple being a window, such as a block of the trainer's ring enumeration.
+The tables are built once per key. The bound stage (_product_blocks) bounds
+each (a row, b row, c key) block, a row being the z^2 settings of one side
+that share an output weight and a hidden bias: the outer sum of the two
+sides' per-key row bounds, broadcast with no per-window gather. It is the
+one place that numbers rows and places windows: each live block leaves it
+as (a row, b row, c key, window position), a side's rows numbered
+key-minor, sorted by position so that each window's blocks are one run.
+The pair stage (_solutions) forms each side's row products once
+(_row_tables). A row splits by weight j+1's digit v into z sub-rows, and a
+live block into z^2 sub-blocks (an a sub-row with a b sub-row) of z^2
+pairs. Pattern 00's hidden input is the hidden bias alone and 01's has no
+weight-j term, so s_00 is one sum per block and s_01 one sum per
+sub-block; each sub-block's bounds (_live_sub_blocks) drop the ones that
+hold no solution, about three in four at z=6-8. The live sub-blocks are
+paired in chunks laid out (z, z, sub-blocks), the sub-blocks innermost, so
+every op runs over a long contiguous axis (_sub_block_pairs). The pair
+stage yields whole windows, as (position, sorted solution indices), in
+increasing position, each once its run has ended. first_solvable_position
+is its first yield: it stops within one pair chunk of the end of the first
+solvable window's run, pairing no sub-block twice.
 A single window is a product of one key of each kind, so
 enumerate_solutions is first_solvable_position on it, and the trainer's
 solution set of a window is the one enumerate_solutions gives.
@@ -65,7 +71,7 @@ class WindowTooLarge(ValueError):
     """Enumeration refused: the window has more than DEFAULT_VERTEX_CAP vertices."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SolutionSet:
     window: WeightWindow
     indices: np.ndarray  # sorted int64 vertex indices
@@ -230,16 +236,16 @@ def _product_blocks(a_bounds: np.ndarray, b_bounds: np.ndarray, c: np.ndarray,
     is a window, at position positions[0][a key] + positions[1][b key] +
     positions[2][c key].
 
-    A side's rows are numbered key-major, row key * z^2 + r being bound row r
-    of that key, as in _row_table. The rows that cannot be in a live block
-    go first (_live_rows); the block bounds of the rest are the outer sum of
+    A side's rows are numbered key-minor, row r * n + key being bound row r
+    of that key (n keys), as in _row_tables. The rows that cannot be in a
+    live block go first (_live_rows); the block bounds of the rest are the outer sum of
     the two sides' row bounds, formed by broadcasting in chunks of about
     _TABLE_BLOCK elements over the a rows, with no per-window gather. Returns
     the live blocks as (a row, b row, c key, window position), equal-length
     arrays sorted by position; a window's blocks keep their (a row, b row)
     order."""
     z, nc = c.shape
-    a_all, b_all = (x.transpose(0, 2, 1).reshape(4, -1) for x in (a_bounds, b_bounds))
+    a_all, b_all = (x.reshape(4, -1) for x in (a_bounds, b_bounds))
     ia, ib = _live_rows(a_all, b_all, c), _live_rows(b_all, a_all, c)
     b = b_all[:, None, ib]
     step = max(1, _TABLE_BLOCK // max(1, ib.size))
@@ -258,37 +264,106 @@ def _product_blocks(a_bounds: np.ndarray, b_bounds: np.ndarray, c: np.ndarray,
         chunks.append((ia[i + ja], ib[jb], kc))
     ja, jb, kc = (np.concatenate(col) for col in zip(*chunks))
     pa, pb, pc = positions
-    position = pa[ja // (z * z)] + pb[jb // (z * z)] + pc[kc]
+    position = pa[ja % a_bounds.shape[2]] + pb[jb % b_bounds.shape[2]] + pc[kc]
     order = np.argsort(position, kind="stable")
     return ja[order], jb[order], kc[order], position[order]
 
 
-def _row_table(w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One side's row products, (keys * z^2 rows, 4 patterns, z^2 settings).
+def _row_tables(w: np.ndarray, h: np.ndarray):
+    """One side's row products by pattern, rows numbered key-minor as the
+    bound stage numbers them: row r * n + key holds w[r // z, key] *
+    h[:, r % z, :, key], the products that _row_bounds' row r of that key
+    bounds.
 
     w is (z, n) output-weight values and h a (4, z, z^2, n) hidden table
-    grouped by the hidden bias, as _side gives them. Row key * z^2 + r holds
-    w[r // z, key] * h[:, r % z, :, key]: the products of _row_bounds' row r
-    of that key."""
+    grouped by the hidden bias, as _side gives them. A row's settings
+    s = u + z*v (u weight j's digit, v weight j+1's) split by v into z
+    sub-rows of z settings. The hidden input is -bias for pattern 00,
+    v - bias for 01 and u - bias for 10 (_hidden), so a row's 00 products
+    are one value, a sub-row's 01 products are one value, and every sub-row
+    of a row holds the same z 10 products, bit for bit. Returns each pattern
+    at the settings it varies over, the row axis last: 00 (rows,), 01
+    (z v, rows), 10 (z u, rows) and 11 (z u, z v * rows), sub-row v of row
+    i at column v * rows + i; then the sub-block stage's bounds, a row's
+    largest 10 product (rows,) and a sub-row's least 11 product (z v, rows).
+    """
     z, n = w.shape
-    rows = w.T[:, :, None, None, None] * h.transpose(3, 1, 0, 2)[:, None]
-    return rows.reshape(n * z * z, 4, z * z)
+    # (pattern, u, v, output weight, bias, key): the keys innermost, so the
+    # product runs over n contiguous elements at a time, not over z
+    h = h.reshape(4, z, z, z, n).transpose(0, 3, 2, 1, 4)
+    rows = np.empty((4, z, z, z, z, n))
+    np.multiply(w[:, None], h[:, :, :, None], out=rows)
+    rows = rows.reshape(4, z, z, -1)
+    return (rows[0, 0, 0], rows[1, 0], rows[2, :, 0], rows[3].reshape(z, -1),
+            rows[2, :, 0].max(axis=0), rows[3].min(axis=0))
 
 
-def _pair_interval(a: np.ndarray, b: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray) -> None:
-    """Fill lo = max(s_00, s_11) and hi = min(s_01, s_10) over the
-    (a row, b row) blocks, s_p = a_p + b_p formed a first.
+def _live_sub_blocks(a_rows, b_rows, c: np.ndarray, live_blocks):
+    """Yield the live sub-blocks of the live blocks, one chunk of
+    _PAIR_BLOCK // z^2 blocks at a time, as (block, a sub-row v1, b sub-row
+    v2, s_00, s_01) arrays in block order.
 
-    a and b are the blocks' (blocks, 4 patterns, z^2) row products and lo
-    and hi (blocks, z^2, z^2) buffers. Pattern 00's hidden input is -bias
-    alone, so a row's 00 products are one value, bit for bit, at all its z^2
-    settings: s_00 is one sum per block, taken at setting 0."""
-    np.add(a[:, 1, :, None], b[:, 1, None, :], out=hi)
-    np.add(a[:, 2, :, None], b[:, 2, None, :], out=lo)
-    np.minimum(hi, lo, out=hi)
-    np.add(a[:, 3, :, None], b[:, 3, None, :], out=lo)
-    np.maximum((a[:, 0, 0] + b[:, 0, 0])[:, None, None], lo, out=lo)
+    a_rows and b_rows are _row_tables, c is (z, nc) output-bias values per
+    key and live_blocks are _product_blocks' (a row, b row, c key, position)
+    blocks. Sub-block (v1, v2) of a block pairs a sub-row v1 with b sub-row
+    v2: its s_00 and s_01 are single sums, the same floats at all its z^2
+    pairs. Its bounds are lo = max(s_00, fl(min a_11 over the a sub-row +
+    min b_11 over the b sub-row)) and hi = min(s_01, fl(max a_10 over the a
+    row + max b_10 over the b row)); fl(x + y) is monotone, so every pair's
+    lo is at least lo and its hi at most hi, and a sub-block whose bounds
+    fail _solves for every c of its window holds no solution. The bounds
+    are laid out (v1, v2, blocks), so each op runs over the long block axis.
+    """
+    a00, a01, _, _, a10_max, a11_min = a_rows
+    b00, b01, _, _, b10_max, b11_min = b_rows
+    ia, ib, kc = live_blocks[:3]
+    z = c.shape[0]
+    step = max(1, _PAIR_BLOCK // (z * z))
+    for i in range(0, ia.size, step):
+        ja, jb = ia[i:i + step], ib[i:i + step]
+        s00 = a00[ja] + b00[jb]
+        s01 = a01.take(ja, axis=1)[:, None] + b01.take(jb, axis=1)[None]
+        hi = np.minimum(s01, a10_max[ja] + b10_max[jb])
+        lo = np.maximum(s00, a11_min.take(ja, axis=1)[:, None]
+                        + b11_min.take(jb, axis=1)[None])
+        cj = c[:, kc[i:i + step]]
+        live = _solves(lo, hi, cj[0])
+        for ci in range(1, z):
+            live |= _solves(lo, hi, cj[ci])
+        blk, v1, v2 = np.nonzero(live.transpose(2, 0, 1))
+        yield i + blk, v1, v2, s00[blk], s01[v1, v2, blk]
+
+
+def _pair_chunks(parts, per: int, end: int):
+    """Cut a stream of column arrays, the first column a block, into chunks
+    of per rows. Yield each chunk with the block of the row after it (end
+    after the last row), so a chunk is only cut once that row is known."""
+    rest = None
+    for part in parts:
+        rest = part if rest is None else tuple(map(np.concatenate, zip(rest, part)))
+        while rest[0].size > per:
+            yield tuple(col[:per] for col in rest), int(rest[0][per])
+            rest = tuple(col[per:] for col in rest)
+    if rest is not None and rest[0].size:
+        yield rest, end
+
+
+def _sub_block_pairs(a_rows, b_rows, sub_blocks, lo: np.ndarray,
+                     hi: np.ndarray) -> None:
+    """Fill lo = max(s_00, s_11) and hi = min(s_01, s_10) over the pairs of
+    sub-blocks, s_p = a_p + b_p formed a first.
+
+    a_rows and b_rows are _row_tables; sub_blocks are (a row, a sub-row v1,
+    b row, b sub-row v2, s_00, s_01) arrays, one entry per sub-block, and lo
+    and hi (z u1, z u2, sub-blocks) buffers: pair (u1, u2) of a sub-block
+    pairs a setting u1 + z*v1 with b setting u2 + z*v2."""
+    ja, v1, jb, v2, s00, s01 = sub_blocks
+    a10, a11, b10, b11 = a_rows[2], a_rows[3], b_rows[2], b_rows[3]
+    np.add(a10.take(ja, axis=1)[:, None], b10.take(jb, axis=1)[None], out=hi)
+    np.minimum(s01, hi, out=hi)
+    np.add(a11.take(v1 * a10.shape[1] + ja, axis=1)[:, None],
+           b11.take(v2 * b10.shape[1] + jb, axis=1)[None], out=lo)
+    np.maximum(s00, lo, out=lo)
 
 
 def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
@@ -314,30 +389,32 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
     mlp.classification_error makes, on the 0.5 edge too. Finite weights
     (WeightWindow, the trainer's check on its keys) keep NaN out of it.
 
-    Each side's table is split into rows of z^2 products that share an output
-    weight and a hidden bias (_row_bounds). The bound stage tests each
-    (a row, b row, key triple) block before any pair is formed: through
-    _interval its lo is at least the bound's lo and its hi at most the
-    bound's hi, since a rounded sum fl(x + y) is monotone in x and y. A block
-    whose bounds fail _solves for every c of its window holds no solution.
+    There are three levels: rows, sub-blocks, pairs. Each side's table is
+    split into rows of z^2 products that share an output weight and a
+    hidden bias (_row_bounds), and the bound stage tests each (a row, b row,
+    key triple) block before any pair is formed: through _interval its lo
+    is at least the bound's lo and its hi at most the bound's hi, since a
+    rounded sum fl(x + y) is monotone in x and y. A block whose bounds fail
+    _solves for every c of its window holds no solution.
 
-    The pair stage builds each side's rows once, as a (keys * z^2, 4, z^2)
-    table (_row_table) whose row key * z^2 + r holds the same products
-    fl(w * h) that bound row r of that key, and the bound stage numbers its
-    rows the same way, so gathering a block's rows from it changes no value.
-    The live blocks get the pairwise interval in chunks of about _PAIR_BLOCK
-    elements (_pair_interval), each chunk taking its rows from the tables by
-    one row index per side. _hidden takes pattern 00's hidden value from
-    the hidden bias alone, so a row's 00 products are one value, bit for
-    bit, at all its z^2 settings. So s_00 is one sum per block, and
-    max(s_00, s_11) takes it as the same float it is at every pair. No c passes where
-    lo >= hi, so only the pairs with lo < hi are kept. One pass over the
-    output biases tests each c on those alone: once the pair chunks have
-    kept about _SURVIVOR_BLOCK of them, and at the end of each pair chunk in
-    which a window's run ends. The windows whose runs have ended are yielded
-    there; the hits of a run that goes on past the chunk are held for the
-    next run end. So the first yield comes within one pair chunk of the end
-    of the first solvable window's run, and no live block is paired twice.
+    Each side's row products are formed once (_row_tables), numbered as the
+    bound stage numbers its rows, so gathering a block's products from them
+    changes no value. Each live block's z^2 sub-blocks are bounded in turn
+    (_live_sub_blocks), one chunk of live blocks at a time, and only the
+    live sub-blocks are paired, in chunks of _PAIR_BLOCK // z^2 sub-blocks
+    (_pair_chunks) laid out (z u1, z u2, sub-blocks), the sub-blocks
+    innermost: hi = min(s_01, A_10 + B_10) and lo = max(s_00, A_11 + B_11),
+    the same operands in the same order as at every pair of the full test,
+    so the same floats. No c passes where lo >= hi, so only the pairs with
+    lo < hi are kept, coded block * z^4 + s1 * z^2 + s2 for a setting s1 of
+    the a row and s2 of the b row. One pass over the output biases tests
+    each c on those alone: once the pair chunks have kept about
+    _SURVIVOR_BLOCK of them, and after each pair chunk that makes a window
+    whole. A window is whole once every block before the next unpaired
+    sub-block's block has been paired. The windows whose runs have ended
+    are yielded there; the hits of a run that goes on are held for the next
+    run end. So the first yield comes within one pair chunk of the end of
+    the first solvable window's run, and no sub-block is paired twice.
     Keeping a whole window's survivors instead costs megabytes at z=4, where
     many pairs have lo < hi.
     """
@@ -347,25 +424,27 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
         return
     z = a.shape[0]
     z2, z4 = z * z, z ** 4
-    a_rows, b_rows = _row_table(a, h1), _row_table(b, h2)
-    per = max(1, _PAIR_BLOCK // z4)  # blocks per pair chunk
-    lo_buf, hi_buf = np.empty(per * z4), np.empty(per * z4)
-    live_buf = np.empty(per * z4, dtype=bool)
-    # per pair chunk: the live blocks of the windows whole by its end; no
-    # run ends in the chunk when this is at most the chunk's start
-    whole = np.append(np.searchsorted(position, position[per::per]), ia.size)
-    kept, n_kept, held = [], 0, []
-    for j in range(0, ia.size, per):
-        ia_j, ib_j = ia[j:j + per], ib[j:j + per]
-        size = ia_j.size * z4
-        lo, hi, live = lo_buf[:size], hi_buf[:size], live_buf[:size]
-        _pair_interval(a_rows.take(ia_j, axis=0), b_rows.take(ib_j, axis=0),
-                       lo.reshape(-1, z2, z2), hi.reshape(-1, z2, z2))
+    a_rows, b_rows = _row_tables(a, h1), _row_tables(b, h2)
+    per = max(1, _PAIR_BLOCK // z2)  # sub-blocks per pair chunk
+    lo_buf, hi_buf = np.empty(per * z2), np.empty(per * z2)
+    live_buf = np.empty(per * z2, dtype=bool)
+    whole_before, kept, n_kept, held = 0, [], 0, []
+    chunks = _pair_chunks(_live_sub_blocks(a_rows, b_rows, c, live_blocks), per, ia.size)
+    for (blk, v1, v2, s00, s01), after in chunks:
+        m = blk.size
+        lo, hi, live = lo_buf[:m * z2], hi_buf[:m * z2], live_buf[:m * z2]
+        _sub_block_pairs(a_rows, b_rows, (ia[blk], v1, ib[blk], v2, s00, s01),
+                         lo.reshape(z, z, m), hi.reshape(z, z, m))
         np.less(lo, hi, out=live)
         flat = live.nonzero()[0]
-        kept.append((flat + j * z4, lo[flat], hi[flat]))
+        u, sb = np.divmod(flat, m)
+        u1, u2 = np.divmod(u, z)
+        kept.append((blk[sb] * z4 + (u1 + z * v1[sb]) * z2 + u2 + z * v2[sb],
+                     lo[flat], hi[flat]))
         n_kept += flat.size
-        ended = whole[j // per] > j
+        # the blocks of the windows whole once this chunk is paired
+        whole = ia.size if after == ia.size else np.searchsorted(position, position[after])
+        ended, whole_before = whole > whole_before, whole
         if n_kept < _SURVIVOR_BLOCK and not ended:
             continue
         flat, lo_v, hi_v = (np.concatenate(col) for col in zip(*kept))
@@ -377,25 +456,26 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
         if not ended:
             continue
         blk, off, ci = (np.concatenate(col) for col in zip(*held))
-        mine = blk < whole[j // per]
+        mine = blk < whole
         held = [(blk[~mine], off[~mine], ci[~mine])]
         if mine.any():
             blk = blk[mine]
-            found = _vertex_indices(ia[blk], ib[blk], off[mine], ci[mine], z)
+            found = _vertex_indices(ia[blk] // a.shape[1], ib[blk] // b.shape[1],
+                                    off[mine], ci[mine], z)
             order = np.lexsort((found, position[blk]))
             windows, first = np.unique(position[blk[order]], return_index=True)
-            yield from zip(windows.tolist(), np.split(found[order], first[1:]))
+            # a copy per window, so a kept solution set pins no flush's hits
+            yield from zip(windows.tolist(), map(np.copy, np.split(found[order], first[1:])))
 
 
-def _vertex_indices(ia: np.ndarray, ib: np.ndarray, off: np.ndarray,
+def _vertex_indices(ra: np.ndarray, rb: np.ndarray, off: np.ndarray,
                     ci: np.ndarray, z: int) -> np.ndarray:
     """Vertex indices, each in its own window, of solutions in the live
-    blocks (a row ia, b row ib) at offset off with output bias c index ci:
-    vertex (s1, s2) = divmod(off, z^2) of bound rows ra = ia % z^2 and
-    rb = ib % z^2 has index s1 + z^2 (ra % z) + z^3 (s2 + z^2 (rb % z))
-    + z^6 (ra // z) + z^7 (rb // z) + z^8 ci."""
+    blocks of bound rows ra and rb (0 to z^2 - 1, as _row_bounds numbers
+    them) at offset off with output bias c index ci: vertex
+    (s1, s2) = divmod(off, z^2) has index s1 + z^2 (ra % z)
+    + z^3 (s2 + z^2 (rb % z)) + z^6 (ra // z) + z^7 (rb // z) + z^8 ci."""
     z2, z3 = z * z, z ** 3
-    ra, rb = ia % z2, ib % z2
     s1, s2 = np.divmod(off, z2)
     return (s1 + z2 * (ra % z) + z3 * (s2 + z2 * (rb % z))
             + z ** 6 * (ra // z) + z ** 7 * (rb // z) + z ** 8 * ci)
@@ -414,9 +494,11 @@ def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray,
     positions[2][l]. The tables are built once per key, not once per window,
     both sides' in one call; the bound stage (_product_blocks) leaves the
     live blocks in increasing position, and the first window the kernel
-    (_solutions) yields is the answer. The windows after the pair chunk in
-    which its run of live blocks ends are not paired. The caller checks
-    that the weights are finite.
+    (_solutions) yields is the answer. The kernel bounds the live blocks'
+    sub-blocks one chunk of blocks at a time and pairs only the live
+    sub-blocks, so no sub-block after the pair chunk in which the answer's
+    run of live sub-blocks ends is paired. The caller checks that the
+    weights are finite.
     """
     na = len(a_keys)
     both = _side(_weight_values(np.concatenate([a_keys, b_keys]), z, delta_p), 0, 3)

@@ -38,7 +38,7 @@ import numpy as np
 from .seeding import substream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightWindow:
     w: int
     z: int

@@ -63,11 +63,13 @@ def interval_counts(origins, z, delta_p):
     lo = np.maximum(a[0].min(0) + b[0].min(0), a[3].min(0) + b[3].min(0))
     hi = np.minimum(a[1].max(0) + b[1].max(0), a[2].max(0) + b[2].max(0))
     counts = np.zeros(n, dtype=np.int64)
+    step = max(1, 2 ** 19 // z ** 4)  # a-side settings per pass: 16 MiB of sums
     for w in np.flatnonzero(((hi - c >= 0.5) & (lo - c < 0.5)).any(axis=0)):
-        s = a[:, :, None, w] + b[:, None, :, w]
-        lo_w, hi_w = np.maximum(s[0], s[3]), np.minimum(s[1], s[2])
-        counts[w] = sum(np.count_nonzero((hi_w - cw >= 0.5) & (lo_w - cw < 0.5))
-                        for cw in c[:, w])
+        for i in range(0, z ** 4, step):
+            s = a[:, i:i + step, None, w] + b[:, None, :, w]
+            lo_w, hi_w = np.maximum(s[0], s[3]), np.minimum(s[1], s[2])
+            counts[w] += sum(np.count_nonzero((hi_w - cw >= 0.5) & (lo_w - cw < 0.5))
+                             for cw in c[:, w])
     return counts
 
 

@@ -146,31 +146,64 @@ def test_enumerate_scratch_stays_bounded(z, budget):
     assert peak < budget
 
 
+def _full_row_products(w, h):
+    """A side's row products at all z^2 settings, (z^2 * n rows, 4
+    patterns, z^2 settings) for n keys: row r * n + key holds
+    w[r // z, key] * h[:, r % z, :, key], setting u + z*v of weight digits
+    u and v."""
+    z, n = w.shape
+    rows = w[:, None, :, None, None] * h.transpose(1, 3, 0, 2)[None]
+    return rows.reshape(z * z * n, 4, z * z)
+
+
 @pytest.mark.parametrize("z", (2, 3, 4, 5, 6))
 @pytest.mark.parametrize("delta_p", (0.1, 0.3, 0.7, 1.0, 1.5))
 def test_pattern_00_is_one_value_per_row(z, delta_p):
     # pattern 00's hidden input is -bias alone, so every row of a side's
-    # row table holds one 00 product at all its z^2 settings, bit for bit,
-    # and the pair stage's s_00 is one sum per block. Keys around the
-    # lattice origin give zero and negative biases and output weights
+    # row products holds one 00 product at all its z^2 settings, bit for
+    # bit; 01's is v - bias, so each sub-row (the z settings u + z*v of one
+    # v) holds one 01 product; 10's is u - bias, so every sub-row of a row
+    # holds the same z 10 products. _row_tables keeps each pattern at the
+    # settings it varies over, and the sub-block pairs then give _interval's
+    # lo and hi on (a row, b row) blocks. Keys around the lattice origin
+    # give zero and negative biases and output weights
     rng = np.random.default_rng([z, round(delta_p * 10)])
     keys = np.vstack([np.zeros((1, 4), np.int64), rng.integers(-6, 7, size=(7, 4))])
     vals = oracle._weight_values(keys, z, delta_p)
     assert (vals[[2, 3]] == 0).any() and (vals[[2, 3]] < 0).any()
     h, w, _ = oracle._side(vals, 0, 3)
-    rows = oracle._row_table(w, h)
-    bits = rows[:, 0].view(np.uint64)
-    assert np.array_equal(bits, np.broadcast_to(bits[:, :1], bits.shape))
-    # so the pair test gives _interval's lo and hi on (a row, b row) blocks
-    ia, ib = rng.integers(0, len(rows), size=(2, 64))
-    a, b = rows[ia], rows[ib]
+    full = _full_row_products(w, h)
+    n_rows = len(full)
+    by_vu = full.reshape(n_rows, 4, z, z)  # (row, pattern, v, u)
+    bits = by_vu.view(np.uint64)
+    assert np.array_equal(bits[:, 0], np.broadcast_to(bits[:, 0, :1, :1], (n_rows, z, z)))
+    assert np.array_equal(bits[:, 1], np.broadcast_to(bits[:, 1, :, :1], (n_rows, z, z)))
+    assert np.array_equal(bits[:, 2], np.broadcast_to(bits[:, 2, :1, :], (n_rows, z, z)))
+    p00, p01, p10, p11, p10_max, p11_min = oracle._row_tables(w, h)
+    assert p00.tobytes() == full[:, 0, 0].tobytes()
+    assert p01.tobytes() == full[:, 1, ::z].T.tobytes()
+    assert p10.tobytes() == full[:, 2, :z].T.tobytes()
+    assert p11.tobytes() == by_vu[:, 3].transpose(2, 1, 0).tobytes()
+    assert p10_max.tobytes() == full[:, 2].max(1).tobytes()
+    assert p11_min.tobytes() == by_vu[:, 3].min(2).T.tobytes()
+    # every sub-block of random blocks, in (block, v1, v2) order
+    ia, ib = rng.integers(0, n_rows, size=(2, 64))
     shape = (ia.size, z * z, z * z)
     lo, hi, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    a, b = full[ia], full[ib]
     oracle._interval(a.transpose(1, 0, 2)[..., None], b.transpose(1, 0, 2)[:, :, None],
                      lo, hi, tmp)
-    pair_lo, pair_hi = np.empty(shape), np.empty(shape)
-    oracle._pair_interval(a, b, pair_lo, pair_hi)
-    assert pair_lo.tobytes() == lo.tobytes() and pair_hi.tobytes() == hi.tobytes()
+    blk, v1, v2 = (x.ravel() for x in np.indices((ia.size, z, z)))
+    ja, jb = ia[blk], ib[blk]
+    s00 = p00[ja] + p00[jb]
+    s01 = p01[v1, ja] + p01[v2, jb]
+    sub_lo, sub_hi = (np.empty((z, z, blk.size)) for _ in range(2))
+    oracle._sub_block_pairs((p00, p01, p10, p11), (p00, p01, p10, p11),
+                            (ja, v1, jb, v2, s00, s01), sub_lo, sub_hi)
+    # (block, v1, u1, v2, u2) -> (u1, u2, block, v1, v2)
+    for pairs, sub in ((lo, sub_lo), (hi, sub_hi)):
+        pairs = pairs.reshape(ia.size, z, z, z, z).transpose(2, 4, 0, 1, 3)
+        assert pairs.reshape(z, z, -1).tobytes() == sub.tobytes()
 
 
 def _block(z, delta_p, seed, r, start, m):
@@ -190,10 +223,11 @@ def _block(z, delta_p, seed, r, start, m):
                                               (4, 1.0, 1, 3)], ids=("z2", "z3", "z4"))
 def test_bound_rows_are_the_row_tables_rows(monkeypatch, z, delta_p, seed, m):
     # the bound stage and the pair stage number a side's rows the same way:
-    # the bound row _product_blocks tests as row i is the extremes of the
-    # row table's row i over its z^2 settings (the minimum for 00 and 11,
-    # the maximum for 01 and 10), bit for bit, and its live blocks are
-    # live on those extremes
+    # the bound row _product_blocks tests as row i is the extremes of row
+    # i's products over its z^2 settings (the minimum for 00 and 11, the
+    # maximum for 01 and 10), bit for bit, and its live blocks are live on
+    # those extremes. _row_tables numbers its rows as _full_row_products
+    # does (test_pattern_00_is_one_value_per_row)
     (a_keys, b_keys, c_keys, positions, _, _), _ = _block(z, delta_p, seed, 1, 0, m)
     sides = [oracle._side(oracle._weight_values(keys, z, delta_p), 0, 3)
              for keys in (a_keys, b_keys)]
@@ -208,7 +242,7 @@ def test_bound_rows_are_the_row_tables_rows(monkeypatch, z, delta_p, seed, m):
     ra, rb, kc, _ = oracle._product_blocks(sides[0][2], sides[1][2], c, positions)
     extremes = []
     for (h, w, _), bounds in zip(sides, tested):
-        rows = oracle._row_table(w, h)
+        rows = _full_row_products(w, h)
         ext = np.stack([rows[:, 0].min(1), rows[:, 1].max(1),
                         rows[:, 2].max(1), rows[:, 3].min(1)])
         assert ext.tobytes() == bounds.tobytes()
@@ -276,9 +310,10 @@ def test_block_solutions_of_a_barren_block_yield_nothing():
 def test_block_scratch_stays_bounded(z, delta_p, seed, r, start, m):
     # the largest blocks the trainer forms (z=2: 3^8 in ring 1, 5^6 in ring
     # 2; z=4: 81 windows) and the whole of z=2 ring 1: the bound stage goes
-    # in chunks of about _TABLE_BLOCK elements and the pair stage in chunks
-    # of about _PAIR_BLOCK, so scratch does not grow with the block. The z=4
-    # blocks of seeds 13 and 34 hold many pairs with lo < hi
+    # in chunks of about _TABLE_BLOCK elements, and the sub-block bounds and
+    # the pair stage in chunks of about _PAIR_BLOCK, so scratch does not grow
+    # with the block. The z=4 blocks of seeds 13 and 34 hold many pairs with
+    # lo < hi
     args, _ = _block(z, delta_p, seed, r, start, m)
     tracemalloc.start()
     try:
@@ -290,35 +325,97 @@ def test_block_scratch_stays_bounded(z, delta_p, seed, r, start, m):
     assert peak < 2.25 * 2 ** 20
 
 
+def _live_sub_blocks(a_keys, b_keys, c_keys, positions, z, delta_p):
+    """The live blocks of a product block, and (block, v1, v2) of every
+    live sub-block of them."""
+    a_side, b_side = (oracle._side(oracle._weight_values(keys, z, delta_p), 0, 3)
+                      for keys in (a_keys, b_keys))
+    c = oracle._weight_values(c_keys, z, delta_p)[0]
+    blocks = oracle._product_blocks(a_side[2], b_side[2], c, positions)
+    a_rows, b_rows = (oracle._row_tables(w, h) for h, w, _ in (a_side, b_side))
+    parts = list(oracle._live_sub_blocks(a_rows, b_rows, c, blocks))
+    return blocks, [np.concatenate(col) for col in zip(*parts)][:3]
+
+
+def _recording_pair_chunks(monkeypatch):
+    """Patch oracle._pair_chunks to record each chunk of sub-blocks the
+    kernel pairs, as its (block, v1, v2) arrays."""
+    real, paired = oracle._pair_chunks, []
+
+    def recording(parts, per, end):
+        for chunk, after in real(parts, per, end):
+            paired.append(chunk[:3])
+            yield chunk, after
+
+    monkeypatch.setattr(oracle, "_pair_chunks", recording)
+    return paired
+
+
 @pytest.mark.parametrize("survivor_block", (None, 16))
 def test_the_search_pairs_no_live_block_twice(monkeypatch, survivor_block):
-    # z=4 first blocks (9 windows) of seeds that hit at position 0-2. The
-    # search stops in the pair chunk where the hit window's run of live
-    # blocks ends: no more blocks than the run's end, rounded up to a pair
+    # z=4 first blocks (9 windows) of seeds that hit at position 0-2, with
+    # 32 sub-blocks per pair chunk, so that runs of 9 to 479 live sub-blocks
+    # span up to 15 chunks. The search stops in the pair chunk where the hit
+    # window's run of live sub-blocks ends: no sub-block is paired twice,
+    # and no more than the run's live sub-blocks, rounded up to a pair
     # chunk, are paired. With 16 survivors per flush, the survivors of seeds
-    # 11, 13 and 23 are flushed inside the run, and the hits found there are
-    # held until the run ends, so the solution set is still whole
+    # 9, 11, 13, 14 and 23 are flushed inside the run, and the hits found
+    # there are held until the run ends, so the solution set is still whole
     if survivor_block is not None:
         monkeypatch.setattr(oracle, "_SURVIVOR_BLOCK", survivor_block)
-    real, paired = oracle._pair_interval, []
-
-    def counting(a, b, lo, hi):
-        paired.append(lo.shape[0])
-        real(a, b, lo, hi)
-
-    monkeypatch.setattr(oracle, "_pair_interval", counting)
-    per = oracle._PAIR_BLOCK // 4 ** 4
+    per = 32
+    monkeypatch.setattr(oracle, "_PAIR_BLOCK", per * 4 ** 2)
+    paired = _recording_pair_chunks(monkeypatch)
+    stopped = []
     for seed in (1, 2, 9, 11, 13, 14, 23):
         args, origins = _block(4, 1.0, seed, 1, 0, 2)
-        position, _ = _product_pass(*args)
+        blocks, (blk, _, _) = _live_sub_blocks(*args)
         paired.clear()
         hit, indices = oracle.first_solvable_position(*args)
-        run_end = np.searchsorted(position, hit, side="right")
+        codes = np.concatenate([blk * 16 + v1 * 4 + v2 for blk, v1, v2 in paired])
+        run = np.count_nonzero(blocks[3][blk] <= hit)
         assert hit <= 2
-        assert 0 < sum(paired) <= -(-run_end // per) * per
+        assert np.unique(codes).size == codes.size
+        assert 0 < codes.size <= -(-run // per) * per
+        stopped.append(codes.size < blk.size)
         window = WeightWindow(w=9, z=4, origin=tuple(int(v) for v in origins[hit]),
                               delta_p=1.0)
         assert indices.tobytes() == oracle.enumerate_solutions(window).indices.tobytes()
+    assert all(stopped)  # no search pairs all of its block
+
+
+def test_sub_blocks_leave_a_third_of_the_pairs_of_the_live_blocks(monkeypatch):
+    # the origin windows at z=6 and z=8 (criterion 9's): the sub-block bound
+    # leaves 25% and 30% of their live blocks' z^4 pairs to be paired
+    real, live_blocks = oracle._product_blocks, []
+
+    def recording(*args):
+        blocks = real(*args)
+        live_blocks.append(blocks[0].size)
+        return blocks
+
+    monkeypatch.setattr(oracle, "_product_blocks", recording)
+    paired = _recording_pair_chunks(monkeypatch)
+    for z, k in ((6, 62), (8, reference.Z8_ORIGIN_K)):
+        paired.clear()
+        live_blocks.clear()
+        window = WeightWindow(w=9, z=z, origin=(0,) * 9, delta_p=0.5)
+        assert oracle.enumerate_solutions(window).k == k
+        n_paired = sum(blk.size for blk, _, _ in paired) * z ** 2
+        assert 0 < n_paired <= 0.35 * live_blocks[0] * z ** 4
+
+
+@pytest.mark.parametrize("z,seed", [(6, 0), (6, 1), (6, 2), (7, 0), (7, 3)])
+def test_enumerate_matches_interval_counts_at_z6_and_z7(z, seed):
+    # windows next to the lattice origin, which hold solutions, where the
+    # sub-block bound and the pair chunks act at the sizes the z=6 and z=8
+    # enumerations use
+    rng = np.random.default_rng([z, seed])
+    origin = rng.integers(-1, 2, size=9)
+    window = WeightWindow(w=9, z=z, origin=tuple(int(v) for v in origin), delta_p=0.5)
+    count = interval_counts(origin[None], z, 0.5)[0]
+    assert count > 0
+    assert oracle.enumerate_solutions(window).k == count
 
 
 def test_enumerate_marks_what_the_network_classifies_on_the_half_edge():
@@ -426,23 +523,26 @@ FLOAT32_MISS = (-2, 2, 6, 1, -2, -5, -3, -3, -2)
 def test_interval_counts_match_enumeration_on_ring_batches(monkeypatch, z, rows_per_seed,
                                                             delta_p, pair_blocks):
     # the bound test drops most windows; the solvable ones must survive it.
-    # With 3 live blocks per pair chunk, a window's run of live blocks spans
-    # many pair chunks and ends inside one, where the pair stage flushes its
+    # With 3 live sub-blocks per pair chunk (and sub-blocks bounded for 3
+    # live blocks at a time), a window's run of live sub-blocks spans many
+    # pair chunks and ends inside one, where the pair stage flushes its
     # survivors
     origins = np.vstack([_ring_batches(z, delta_p, range(4), rows_per_seed),
                          FLOAT32_MISS])
     if pair_blocks is not None:
-        monkeypatch.setattr(oracle, "_PAIR_BLOCK", pair_blocks * z ** 4)
+        monkeypatch.setattr(oracle, "_PAIR_BLOCK", pair_blocks * z ** 2)
     counts = _exact_counts(origins, z, delta_p)
     assert np.array_equal(counts, interval_counts(origins, z, delta_p))
     assert np.count_nonzero(counts) >= 2
 
 
 def _float32_interval_counts(origins, z, delta_p):
-    """The old float32 kernel's counts, as a brute-force reference: per
-    window, the (a-side, b-side, c) triples with max(s0, s3) < c + 0.5 <=
-    min(s1, s2), s_p = A_p + B_p in float32, over every pair and with no
-    bound test."""
+    """Float32 interval counts, as a brute-force reference: per window, the
+    (a-side, b-side, c) triples with max(s0, s3) < c + 0.5 <= min(s1, s2),
+    s_p = A_p + B_p in float32, over every pair and with no bound test. The
+    weights and hidden inputs are float32, and the hidden tables hold
+    mlp.sigmoid's float64 values at those inputs rounded to float32
+    (oracle._hidden into float32 scratch), not a float32 logistic's."""
     vals = oracle._weight_values(np.asarray(origins, dtype=np.int64), z,
                                  delta_p).astype(np.float32)
     n = vals.shape[2]
