@@ -18,16 +18,17 @@ four-pattern test of mlp.classification_error bit for bit, on the 0.5 edge
 too: the logistic has one definition, in mlp.
 
 The kernel works on three levels: rows, then sub-blocks, then pairs. Its
-input is a product of keys: an a-side key (weights 0-2 and 6), a b-side
-key (3-5 and 7) and an output bias key (8), every (a key, b key, c key)
-triple being a window, such as a block of the trainer's ring enumeration.
-The tables are built once per key. The bound stage (_product_blocks) bounds
-each (a row, b row, c key) block, a row being the z^2 settings of one side
-that share an output weight and a hidden bias: the outer sum of the two
-sides' per-key row bounds, broadcast with no per-window gather. It is the
-one place that numbers rows and places windows: each live block leaves it
-as (a row, b row, c key, window position), a side's rows numbered
-key-minor, sorted by position so that each window's blocks are one run.
+input is a product of a-side keys (weights 0-2 and 6) and b-side keys (3-5
+and 7) with one output bias (8), every (a key, b key) pair being a window,
+such as a block of the trainer's ring enumeration. The tables are built
+once per key. The bound stage (_product_blocks) bounds each (a row, b row)
+block, a row being the z^2 settings of one side that share an output
+weight and a hidden bias: the outer sum of the two sides' per-key row
+bounds, broadcast with no per-window gather, tested against the window's z
+output biases one at a time (_any_solves). It is the one place that
+numbers rows and places windows: each live block leaves it as (a row,
+b row, window position), a side's rows numbered key-minor, sorted by
+position so that each window's blocks are one run.
 The pair stage (_solutions) forms each side's row products once
 (_row_tables). A row splits by weight j+1's digit v into z sub-rows, and a
 live block into z^2 sub-blocks (an a sub-row with a b sub-row) of z^2
@@ -41,7 +42,7 @@ stage yields whole windows, as (position, sorted solution indices), in
 increasing position, each once its run has ended. first_solvable_position
 is its first yield: it stops within one pair chunk of the end of the first
 solvable window's run, pairing no sub-block twice.
-A single window is a product of one key of each kind, so
+A single window is a product of one a-side and one b-side key, so
 enumerate_solutions is first_solvable_position on it, and the trainer's
 solution set of a window is the one enumerate_solutions gives.
 Two unfactored routes are kept as independent references: a scalar
@@ -203,19 +204,30 @@ def _row_bounds(w: np.ndarray, h: np.ndarray) -> np.ndarray:
     return ext.reshape(4, z * z, n)
 
 
-# Lattice dimensions of the three key kinds: the a side (h1's weights 0-2 and
-# its output weight 6), the b side (h2's weights 3-5 and output weight 7) and
-# the output bias (weight 8).
-KEY_DIMS = ((0, 1, 2, 6), (3, 4, 5, 7), (8,))
+# Lattice dimensions of the two key kinds: the a side (h1's weights 0-2 and
+# its output weight 6) and the b side (h2's weights 3-5 and output weight 7).
+# The output bias (weight 8) is one coordinate per product block.
+KEY_DIMS = ((0, 1, 2, 6), (3, 4, 5, 7))
+BIAS_DIM = 8
 
 
-def _side(vals: np.ndarray, j: int, o: int):
-    """Tables of one side from (k, z, n) weight values: the hidden table
-    (4, z, z^2, n) of weights j..j+2 (_hidden) grouped by the hidden bias,
-    the output weights vals[o] (z, n) and their row bounds (_row_bounds)."""
+def _side(vals: np.ndarray):
+    """Tables of one side from (4, z, n) weight values in KEY_DIMS order: the
+    hidden table (4, z, z^2, n) of weights 0-2 (_hidden) grouped by the
+    hidden bias, the output weights vals[3] (z, n) and their row bounds
+    (_row_bounds)."""
     z, n = vals.shape[1:]
-    h = _hidden(vals, j, np.empty((4, z, z, z, n))).reshape(4, z, z * z, n)
-    return h, vals[o], _row_bounds(vals[o], h)
+    h = _hidden(vals, 0, np.empty((4, z, z, z, n))).reshape(4, z, z * z, n)
+    return h, vals[3], _row_bounds(vals[3], h)
+
+
+def _any_solves(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Where some output bias of the window's c (z,) solves (_solves), one
+    bias at a time, so that scratch stays at lo's size."""
+    live = _solves(lo, hi, c[0])
+    for ci in c[1:]:
+        live |= _solves(lo, hi, ci)
+    return live
 
 
 def _live_rows(x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -227,46 +239,40 @@ def _live_rows(x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     here is in no live block."""
     lo = np.maximum(x[0] + y[0].min(), x[3] + y[3].min())
     hi = np.minimum(x[1] + y[1].max(), x[2] + y[2].max())
-    return np.flatnonzero(_solves(lo[:, None], hi[:, None], c.ravel()).any(axis=1))
+    return np.flatnonzero(_solves(lo[:, None], hi[:, None], c).any(axis=1))
 
 
 def _product_blocks(a_bounds: np.ndarray, b_bounds: np.ndarray, c: np.ndarray,
                     positions):
-    """Bound stage of a product of keys: every (a key, b key, c key) triple
-    is a window, at position positions[0][a key] + positions[1][b key] +
-    positions[2][c key].
+    """Bound stage of a product of keys with output biases c (z,): every
+    (a key, b key) pair is a window, at position positions[0][a key] +
+    positions[1][b key].
 
     A side's rows are numbered key-minor, row r * n + key being bound row r
     of that key (n keys), as in _row_tables. The rows that cannot be in a
     live block go first (_live_rows); the block bounds of the rest are the outer sum of
     the two sides' row bounds, formed by broadcasting in chunks of about
     _TABLE_BLOCK elements over the a rows, with no per-window gather. Returns
-    the live blocks as (a row, b row, c key, window position), equal-length
-    arrays sorted by position; a window's blocks keep their (a row, b row)
-    order."""
-    z, nc = c.shape
+    the live blocks as (a row, b row, window position), equal-length arrays
+    sorted by position; a window's blocks keep their (a row, b row) order."""
     a_all, b_all = (x.reshape(4, -1) for x in (a_bounds, b_bounds))
     ia, ib = _live_rows(a_all, b_all, c), _live_rows(b_all, a_all, c)
     b = b_all[:, None, ib]
     step = max(1, _TABLE_BLOCK // max(1, ib.size))
     bufs = [np.empty(min(step, ia.size) * ib.size) for _ in range(3)]
-    chunks = [(ia[:0],) * 3]  # an empty first chunk, for a block with none live
+    chunks = [(ia[:0],) * 2]  # an empty first chunk, for a block with none live
     for i in range(0, ia.size, step):
         a = a_all[:, ia[i:i + step], None]
         lo, hi, tmp = (buf[:a.shape[1] * ib.size].reshape(a.shape[1], ib.size)
                        for buf in bufs)
         _interval(a, b, lo, hi, tmp)
-        live = np.zeros((nc,) + lo.shape, dtype=bool)
-        for kc in range(nc):
-            for ci in range(z):
-                live[kc] |= _solves(lo, hi, c[ci, kc])
-        kc, ja, jb = np.unravel_index(np.flatnonzero(live), live.shape)
-        chunks.append((ia[i + ja], ib[jb], kc))
-    ja, jb, kc = (np.concatenate(col) for col in zip(*chunks))
-    pa, pb, pc = positions
-    position = pa[ja % a_bounds.shape[2]] + pb[jb % b_bounds.shape[2]] + pc[kc]
+        ja, jb = np.unravel_index(np.flatnonzero(_any_solves(lo, hi, c)), lo.shape)
+        chunks.append((ia[i + ja], ib[jb]))
+    ja, jb = (np.concatenate(col) for col in zip(*chunks))
+    pa, pb = positions
+    position = pa[ja % a_bounds.shape[2]] + pb[jb % b_bounds.shape[2]]
     order = np.argsort(position, kind="stable")
-    return ja[order], jb[order], kc[order], position[order]
+    return ja[order], jb[order], position[order]
 
 
 def _row_tables(w: np.ndarray, h: np.ndarray):
@@ -303,21 +309,21 @@ def _live_sub_blocks(a_rows, b_rows, c: np.ndarray, live_blocks):
     _PAIR_BLOCK // z^2 blocks at a time, as (block, a sub-row v1, b sub-row
     v2, s_00, s_01) arrays in block order.
 
-    a_rows and b_rows are _row_tables, c is (z, nc) output-bias values per
-    key and live_blocks are _product_blocks' (a row, b row, c key, position)
+    a_rows and b_rows are _row_tables, c is the window's z output-bias
+    values and live_blocks are _product_blocks' (a row, b row, position)
     blocks. Sub-block (v1, v2) of a block pairs a sub-row v1 with b sub-row
     v2: its s_00 and s_01 are single sums, the same floats at all its z^2
     pairs. Its bounds are lo = max(s_00, fl(min a_11 over the a sub-row +
     min b_11 over the b sub-row)) and hi = min(s_01, fl(max a_10 over the a
     row + max b_10 over the b row)); fl(x + y) is monotone, so every pair's
     lo is at least lo and its hi at most hi, and a sub-block whose bounds
-    fail _solves for every c of its window holds no solution. The bounds
+    fail _solves for every c holds no solution (_any_solves). The bounds
     are laid out (v1, v2, blocks), so each op runs over the long block axis.
     """
     a00, a01, _, _, a10_max, a11_min = a_rows
     b00, b01, _, _, b10_max, b11_min = b_rows
-    ia, ib, kc = live_blocks[:3]
-    z = c.shape[0]
+    ia, ib = live_blocks[:2]
+    z = c.size
     step = max(1, _PAIR_BLOCK // (z * z))
     for i in range(0, ia.size, step):
         ja, jb = ia[i:i + step], ib[i:i + step]
@@ -326,11 +332,7 @@ def _live_sub_blocks(a_rows, b_rows, c: np.ndarray, live_blocks):
         hi = np.minimum(s01, a10_max[ja] + b10_max[jb])
         lo = np.maximum(s00, a11_min.take(ja, axis=1)[:, None]
                         + b11_min.take(jb, axis=1)[None])
-        cj = c[:, kc[i:i + step]]
-        live = _solves(lo, hi, cj[0])
-        for ci in range(1, z):
-            live |= _solves(lo, hi, cj[ci])
-        blk, v1, v2 = np.nonzero(live.transpose(2, 0, 1))
+        blk, v1, v2 = np.nonzero(_any_solves(lo, hi, c).transpose(2, 0, 1))
         yield i + blk, v1, v2, s00[blk], s01[v1, v2, blk]
 
 
@@ -371,8 +373,8 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
     (position, sorted int64 solution indices in that window), in increasing
     position.
 
-    a_side and b_side are _side tables per key and c is (z, nc) output-bias
-    values per key. live_blocks are the (a row, b row, c key, window
+    a_side and b_side are _side tables per key and c is the z output-bias
+    values every window shares. live_blocks are the (a row, b row, window
     position) blocks _product_blocks returns, sorted by position, so each
     window's blocks are one run. A window is yielded with all of its
     solutions once its run has ended, so the first yield is the whole
@@ -391,8 +393,8 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
 
     There are three levels: rows, sub-blocks, pairs. Each side's table is
     split into rows of z^2 products that share an output weight and a
-    hidden bias (_row_bounds), and the bound stage tests each (a row, b row,
-    key triple) block before any pair is formed: through _interval its lo
+    hidden bias (_row_bounds), and the bound stage tests each (a row, b row)
+    block before any pair is formed: through _interval its lo
     is at least the bound's lo and its hi at most the bound's hi, since a
     rounded sum fl(x + y) is monotone in x and y. A block whose bounds fail
     _solves for every c of its window holds no solution.
@@ -419,7 +421,7 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
     many pairs have lo < hi.
     """
     (h1, a), (h2, b) = a_side[:2], b_side[:2]
-    ia, ib, kc, position = live_blocks
+    ia, ib, position = live_blocks
     if not ia.size:
         return
     z = a.shape[0]
@@ -450,8 +452,7 @@ def _solutions(a_side, b_side, c: np.ndarray, live_blocks):
         flat, lo_v, hi_v = (np.concatenate(col) for col in zip(*kept))
         kept, n_kept = [], 0
         blk, off = np.divmod(flat, z4)
-        ci, hit = np.divmod(np.flatnonzero(_solves(lo_v, hi_v, c[:, kc[blk]])),
-                            flat.size)
+        ci, hit = np.divmod(np.flatnonzero(_solves(lo_v, hi_v, c[:, None])), flat.size)
         held.append((blk[hit], off[hit], ci))
         if not ended:
             continue
@@ -481,18 +482,18 @@ def _vertex_indices(ra: np.ndarray, rb: np.ndarray, off: np.ndarray,
             + z ** 6 * (ra // z) + z ** 7 * (rb // z) + z ** 8 * ci)
 
 
-def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray,
-                            c_keys: np.ndarray, positions, z: int, delta_p: float
+def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray, c_key: int,
+                            positions, z: int, delta_p: float
                             ) -> tuple[int, np.ndarray] | None:
     """The first window of a product block that holds a solution, as
     (position, sorted int64 solution indices in that window), or None.
 
-    The block's windows are the key triples (i, j, l): a-side coordinates
-    a_keys[i], b-side ones b_keys[j] and output bias c_keys[l] (KEY_DIMS
-    order; a_keys and b_keys are (n, 4) integers, c_keys (n, 1)). Window
-    (i, j, l) sits at position positions[0][i] + positions[1][j] +
-    positions[2][l]. The tables are built once per key, not once per window,
-    both sides' in one call; the bound stage (_product_blocks) leaves the
+    The block's windows are the key pairs (i, j): a-side coordinates
+    a_keys[i] and b-side ones b_keys[j] (KEY_DIMS order, (n, 4) integers),
+    all with the output-bias coordinate c_key (BIAS_DIM). Window (i, j) sits
+    at position positions[0][i] + positions[1][j]. The tables are built
+    once per key, not once per window, both sides' in one call, and the z
+    output biases are shared; the bound stage (_product_blocks) leaves the
     live blocks in increasing position, and the first window the kernel
     (_solutions) yields is the answer. The kernel bounds the live blocks'
     sub-blocks one chunk of blocks at a time and pairs only the live
@@ -501,10 +502,10 @@ def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray,
     weights are finite.
     """
     na = len(a_keys)
-    both = _side(_weight_values(np.concatenate([a_keys, b_keys]), z, delta_p), 0, 3)
+    both = _side(_weight_values(np.concatenate([a_keys, b_keys]), z, delta_p))
     a_side, b_side = (tuple(t[..., s] for t in both)
                       for s in (slice(None, na), slice(na, None)))
-    c = _weight_values(c_keys, z, delta_p)[0]
+    c = _weight_values(np.array([[c_key]]), z, delta_p).ravel()
     live_blocks = _product_blocks(a_side[2], b_side[2], c, positions)
     return next(_solutions(a_side, b_side, c, live_blocks), None)
 
@@ -512,15 +513,15 @@ def first_solvable_position(a_keys: np.ndarray, b_keys: np.ndarray,
 def enumerate_solutions(window: WeightWindow) -> SolutionSet:
     """Exact solution set of a window, in increasing index order.
 
-    The window is a product of one key of each kind at position 0, so its
-    solutions are those first_solvable_position finds. Scratch is the
-    kernel's chunks and the solutions, not the window. Refuses windows above
-    DEFAULT_VERTEX_CAP vertices.
+    The window is a product of one a-side and one b-side key at position 0,
+    with its output bias, so its solutions are those first_solvable_position
+    finds. Scratch is the kernel's chunks and the solutions, not the window.
+    Refuses windows above DEFAULT_VERTEX_CAP vertices.
     """
     require_enumerable(window)
     origin = np.asarray(window.origin, dtype=np.int64)
     found = first_solvable_position(*(origin[None, list(dims)] for dims in KEY_DIMS),
-                                    [np.zeros(1, dtype=np.int64)] * 3,
+                                    origin[BIAS_DIM], [np.zeros(1, dtype=np.int64)] * 2,
                                     window.z, window.delta_p)
     return SolutionSet(window=window, indices=np.empty(0, dtype=np.int64)
                        if found is None else found[1])

@@ -18,11 +18,12 @@ The walk itself never sees vertex identities; it runs entirely in the
 The shift search walks the ring enumeration in blocks of counter positions
 whose low digits are free (_ring_blocks). Ring 1's position 0 is the zero
 displacement, so its first block holds the start window as well. Such a
-block is a product: the a side (weights 0-2 and 6), the b side (3-5 and 7)
-and the output bias (8) each depend on their own digits, so the oracle
-bounds the block from per-key tables and returns its first solvable window
-with that window's solution indices (first_solvable_position), from the same
-exact kernel that enumerates windows. The trainer then takes that
+block is a product: the a side (weights 0-2 and 6) and the b side (3-5 and
+7) each depend on their own digits, and the output bias (8) is one value,
+as a block frees fewer than nine digits. So the oracle bounds the block
+from per-key tables and returns its first solvable window with that
+window's solution indices (first_solvable_position), from the same exact
+kernel that enumerates windows. The trainer then takes that
 position's shift index and window from weight_space's shift codec
 (shift_index_at, ring_window); no other window is decoded or enumerated.
 """
@@ -41,7 +42,7 @@ from .lackadaisical_walk import (OUTCOME_LABELS, WalkParams, angles,
                                  build_operator, evolve, initial_state,
                                  outcome_probabilities, sample_outcome,
                                  steps_to_max)
-from .oracle import (KEY_DIMS, SolutionSet, enumerate_solutions,
+from .oracle import (BIAS_DIM, KEY_DIMS, SolutionSet, enumerate_solutions,
                      first_solvable_position, require_enumerable)
 from .seeding import substream
 from .weight_space import (WeightWindow, index_to_weights, random_window,
@@ -126,7 +127,9 @@ def _ring_blocks(w: int, z: int, cap: int):
     first block has two digits fewer (one at least), as early hits are
     common. Later blocks take the largest power of b that divides their
     start, so they grow by powers of b up to the largest. A block that would
-    run past the cap shrinks, down to the first block's size.
+    run past the cap shrinks, down to the first block's size. So m < w: a
+    start p in (0, b^w) is divisible by no b^w, and the first block has at
+    most w - 2 digits.
     """
     for r in count(1):
         base = 2 * r + 1
@@ -152,11 +155,14 @@ def _ring_blocks(w: int, z: int, cap: int):
 
 def _block_keys(origin: np.ndarray, z: int, r: int, position: int, m: int):
     """The ring-r block of b^m counter positions from position as keys of a
-    product block: ([a-side, b-side, output-bias coordinates], their
-    position offsets), the first_solvable_position arguments."""
+    product block: (a-side coordinates, b-side coordinates, the output-bias
+    coordinate, [their position offsets]), the first_solvable_position
+    arguments. The output bias's digit (8) is fixed in a block of m < 9
+    free digits; a block that frees it raises ValueError."""
     keys = [ring_block_keys(z, r, position, m, dims) for dims in KEY_DIMS]
-    return ([origin[list(dims)] + disp for dims, (disp, _) in zip(KEY_DIMS, keys)],
-            [offsets for _, offsets in keys])
+    (bias,), _ = ring_block_keys(z, r, position, m, (BIAS_DIM,))
+    return (*(origin[list(dims)] + disp for dims, (disp, _) in zip(KEY_DIMS, keys)),
+            origin[BIAS_DIM] + bias[0], [offsets for _, offsets in keys])
 
 
 def find_solvable_window(start: WeightWindow, config: TrainerConfig
@@ -170,9 +176,9 @@ def find_solvable_window(start: WeightWindow, config: TrainerConfig
     w, z, cap, delta_p = start.w, start.z, config.max_window_shifts, start.delta_p
     origin = np.asarray(start.origin, dtype=np.int64)
     for r, position, m in _ring_blocks(w, z, cap):
-        coords, offsets = _block_keys(origin, z, r, position, m)
+        keys = _block_keys(origin, z, r, position, m)
         try:
-            require_finite_weights(delta_p, [int(f(x)) for x in coords
+            require_finite_weights(delta_p, [int(f(x)) for x in keys[:3]
                                              for f in (np.max, np.min)], z)
         except ValueError:
             if (r, position) != (1, 0):
@@ -183,7 +189,7 @@ def find_solvable_window(start: WeightWindow, config: TrainerConfig
             if not solutions.k:
                 raise
             return start, solutions, 0
-        found = first_solvable_position(*coords, offsets, z, delta_p)
+        found = first_solvable_position(*keys, z, delta_p)
         if found is None:
             continue
         # inner-cube positions past ring 1's first are windows of earlier

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import interval_counts, shift_displacements
 from qwtrain import mlp, oracle, reference, trainer
 from qwtrain.weight_space import (WeightWindow, index_to_weights, random_window,
-                                  ring_block_keys, to_descriptor, window_size)
+                                  to_descriptor, window_size)
 
 # z=2 window built around a known zero-error weight vector; 6 solutions
 SOLVABLE = WeightWindow(w=9, z=2, origin=(1, 1, 2, -3, -3, 2, -2, -3, -2),
@@ -171,7 +171,7 @@ def test_pattern_00_is_one_value_per_row(z, delta_p):
     keys = np.vstack([np.zeros((1, 4), np.int64), rng.integers(-6, 7, size=(7, 4))])
     vals = oracle._weight_values(keys, z, delta_p)
     assert (vals[[2, 3]] == 0).any() and (vals[[2, 3]] < 0).any()
-    h, w, _ = oracle._side(vals, 0, 3)
+    h, w, _ = oracle._side(vals)
     full = _full_row_products(w, h)
     n_rows = len(full)
     by_vu = full.reshape(n_rows, 4, z, z)  # (row, pattern, v, u)
@@ -208,30 +208,40 @@ def test_pattern_00_is_one_value_per_row(z, delta_p):
 
 def _block(z, delta_p, seed, r, start, m):
     """A ring block of a seed's start window: the first_solvable_position
-    arguments and the origin of each of its b^m counter positions, inner
-    cube included (digit d moves by 0, +z, -z, +2z, -2z, ...)."""
+    arguments (trainer._block_keys) and the origin of each of its b^m
+    counter positions, inner cube included (digit d moves by 0, +z, -z, +2z,
+    -2z, ...)."""
     origin = np.asarray(random_window(9, z, delta_p, seed).origin)
-    keys = [ring_block_keys(z, r, start, m, dims) for dims in oracle.KEY_DIMS]
-    args = ([origin[list(dims)] + disp for dims, (disp, _) in zip(oracle.KEY_DIMS, keys)]
-            + [[offsets for _, offsets in keys], z, delta_p])
+    args = [*trainer._block_keys(origin, z, r, start, m), z, delta_p]
     base = 2 * r + 1
     digits = (start + np.arange(base ** m))[:, None] // base ** np.arange(9) % base
     return args, origin + (digits + 1) // 2 * z * np.where(digits % 2, 1, -1)
 
 
-@pytest.mark.parametrize("z,delta_p,seed,m", [(2, 0.5, 7, 9), (3, 0.5, 1, 5),
-                                              (4, 1.0, 1, 3)], ids=("z2", "z3", "z4"))
-def test_bound_rows_are_the_row_tables_rows(monkeypatch, z, delta_p, seed, m):
+# the whole of z=2 ring 1: its three blocks of 3^8 windows, the largest
+# blocks the trainer forms (a block frees at most 8 of the 9 digits)
+Z2_RING1_STARTS = (0, 3 ** 8, 2 * 3 ** 8)
+
+
+def _live_blocks(a_keys, b_keys, c_key, positions, z, delta_p):
+    """The kernel's inputs for a product block: each side's tables (_side),
+    the window's z output biases, and the live blocks (_product_blocks)."""
+    a_side, b_side = (oracle._side(oracle._weight_values(keys, z, delta_p))
+                      for keys in (a_keys, b_keys))
+    c = oracle._weight_values(np.array([[c_key]]), z, delta_p).ravel()
+    return a_side, b_side, c, oracle._product_blocks(a_side[2], b_side[2], c, positions)
+
+
+@pytest.mark.parametrize("z,delta_p,seed,starts,m", [
+    (2, 0.5, 7, Z2_RING1_STARTS, 8), (3, 0.5, 1, (0,), 5), (4, 1.0, 1, (0,), 3)],
+    ids=("z2", "z3", "z4"))
+def test_bound_rows_are_the_row_tables_rows(monkeypatch, z, delta_p, seed, starts, m):
     # the bound stage and the pair stage number a side's rows the same way:
     # the bound row _product_blocks tests as row i is the extremes of row
     # i's products over its z^2 settings (the minimum for 00 and 11, the
     # maximum for 01 and 10), bit for bit, and its live blocks are live on
     # those extremes. _row_tables numbers its rows as _full_row_products
     # does (test_pattern_00_is_one_value_per_row)
-    (a_keys, b_keys, c_keys, positions, _, _), _ = _block(z, delta_p, seed, 1, 0, m)
-    sides = [oracle._side(oracle._weight_values(keys, z, delta_p), 0, 3)
-             for keys in (a_keys, b_keys)]
-    c = oracle._weight_values(c_keys, z, delta_p)[0]
     real, tested = oracle._live_rows, []
 
     def recording(x, y, c):
@@ -239,28 +249,28 @@ def test_bound_rows_are_the_row_tables_rows(monkeypatch, z, delta_p, seed, m):
         return real(x, y, c)
 
     monkeypatch.setattr(oracle, "_live_rows", recording)
-    ra, rb, kc, _ = oracle._product_blocks(sides[0][2], sides[1][2], c, positions)
-    extremes = []
-    for (h, w, _), bounds in zip(sides, tested):
-        rows = _full_row_products(w, h)
-        ext = np.stack([rows[:, 0].min(1), rows[:, 1].max(1),
-                        rows[:, 2].max(1), rows[:, 3].min(1)])
-        assert ext.tobytes() == bounds.tobytes()
-        extremes.append(ext)
-    assert ra.size
-    lo, hi = (np.empty(ra.size) for _ in range(2))
-    oracle._interval(extremes[0][:, ra], extremes[1][:, rb], lo, hi, np.empty(ra.size))
-    assert oracle._solves(lo, hi, c[:, kc]).any(axis=0).all()
+    for start in starts:
+        args, _ = _block(z, delta_p, seed, 1, start, m)
+        tested.clear()
+        *sides, c, (ra, rb, _) = _live_blocks(*args)
+        extremes = []
+        for (h, w, _), bounds in zip(sides, tested):
+            rows = _full_row_products(w, h)
+            ext = np.stack([rows[:, 0].min(1), rows[:, 1].max(1),
+                            rows[:, 2].max(1), rows[:, 3].min(1)])
+            assert ext.tobytes() == bounds.tobytes()
+            extremes.append(ext)
+        assert ra.size
+        lo, hi = (np.empty(ra.size) for _ in range(2))
+        oracle._interval(extremes[0][:, ra], extremes[1][:, rb], lo, hi, np.empty(ra.size))
+        assert oracle._solves(lo, hi, c[:, None]).any(axis=0).all()
 
 
-def _product_pass(a_keys, b_keys, c_keys, positions, z, delta_p):
+def _product_pass(*args):
     """The shared kernel over the whole of a product block's live blocks:
     the window position of each live block, and the kernel's yields."""
-    a_side, b_side = (oracle._side(oracle._weight_values(keys, z, delta_p), 0, 3)
-                      for keys in (a_keys, b_keys))
-    c = oracle._weight_values(c_keys, z, delta_p)[0]
-    blocks = oracle._product_blocks(a_side[2], b_side[2], c, positions)
-    return blocks[3], oracle._solutions(a_side, b_side, c, blocks)
+    a_side, b_side, c, blocks = _live_blocks(*args)
+    return blocks[2], oracle._solutions(a_side, b_side, c, blocks)
 
 
 def _product_solution_positions(*args):
@@ -270,29 +280,38 @@ def _product_solution_positions(*args):
     return np.array([p for p, found in windows for _ in found], np.int64), windows
 
 
-@pytest.mark.parametrize("z,delta_p,seed,r,start,m", [
-    (2, 0.5, 7, 1, 0, 9), (2, 0.5, 11, 1, 0, 9), (2, 0.5, 5, 2, 3 * 5 ** 6, 6),
-    (4, 1.0, 1, 1, 0, 2), (4, 1.0, 13, 1, 0, 3), (3, 0.5, 1, 1, 0, 5)],
+@pytest.mark.parametrize("z,delta_p,seed,r,starts,m", [
+    (2, 0.5, 7, 1, Z2_RING1_STARTS, 8), (2, 0.5, 11, 1, Z2_RING1_STARTS, 8),
+    (2, 0.5, 5, 2, (3 * 5 ** 6,), 6), (4, 1.0, 1, 1, (0,), 2), (4, 1.0, 13, 1, (0,), 3),
+    (3, 0.5, 1, 1, (0,), 5)],
     ids=("z2-ring1-seed7", "z2-ring1-seed11", "z2-ring2", "z4-first", "z4-27",
          "z3-243"))
-def test_block_solutions_match_interval_counts(z, delta_p, seed, r, start, m):
+def test_block_solutions_match_interval_counts(z, delta_p, seed, r, starts, m):
     # the bound stage drops no solution a brute-force count finds, and the
     # kernel yields each solvable window once, in strictly increasing
     # position, with the solution indices enumerate_solutions gives it; so
-    # its first yield is what first_solvable_position returns
-    args, origins = _block(z, delta_p, seed, r, start, m)
-    positions, windows = _product_solution_positions(*args)
-    counts = np.bincount(positions, minlength=origins.shape[0])
-    assert np.array_equal(counts, interval_counts(origins, z, delta_p))
-    assert counts.any()
-    assert all(p < q for (p, _), (q, _) in zip(windows, windows[1:]))
-    for position, indices in windows:
-        window = WeightWindow(w=9, z=z, origin=tuple(int(v) for v in origins[position]),
-                              delta_p=delta_p)
-        assert indices.tobytes() == oracle.enumerate_solutions(window).indices.tobytes()
-    first, indices = oracle.first_solvable_position(*args)
-    assert first == np.flatnonzero(counts)[0]
-    assert indices.tobytes() == windows[0][1].tobytes()
+    # its first yield is what first_solvable_position returns, and a block
+    # with no solution yields none
+    solvable = []
+    for start in starts:
+        args, origins = _block(z, delta_p, seed, r, start, m)
+        positions, windows = _product_solution_positions(*args)
+        counts = np.bincount(positions, minlength=origins.shape[0])
+        assert np.array_equal(counts, interval_counts(origins, z, delta_p))
+        solvable.append(counts.any())
+        assert all(p < q for (p, _), (q, _) in zip(windows, windows[1:]))
+        for position, indices in windows:
+            window = WeightWindow(w=9, z=z, origin=tuple(int(v) for v in origins[position]),
+                                  delta_p=delta_p)
+            assert indices.tobytes() == oracle.enumerate_solutions(window).indices.tobytes()
+        found = oracle.first_solvable_position(*args)
+        if not counts.any():
+            assert found is None
+            continue
+        first, indices = found
+        assert first == np.flatnonzero(counts)[0]
+        assert indices.tobytes() == windows[0][1].tobytes()
+    assert any(solvable)
 
 
 def test_block_solutions_of_a_barren_block_yield_nothing():
@@ -303,35 +322,34 @@ def test_block_solutions_of_a_barren_block_yield_nothing():
     assert not interval_counts(origins, 2, 0.5).any()
 
 
-@pytest.mark.parametrize("z,delta_p,seed,r,start,m", [
-    (2, 0.5, 11, 1, 0, 9), (2, 0.5, 11, 1, 3 ** 8, 8), (2, 0.5, 5, 2, 3 * 5 ** 6, 6),
-    (4, 1.0, 13, 1, 0, 4), (4, 1.0, 34, 1, 0, 4)],
+@pytest.mark.parametrize("z,delta_p,seed,r,starts,m", [
+    (2, 0.5, 11, 1, Z2_RING1_STARTS, 8), (2, 0.5, 11, 1, (3 ** 8,), 8),
+    (2, 0.5, 5, 2, (3 * 5 ** 6,), 6), (4, 1.0, 13, 1, (0,), 4), (4, 1.0, 34, 1, (0,), 4)],
     ids=("z2-ring1", "z2-ring1-8", "z2-ring2", "z4-seed13", "z4-seed34"))
-def test_block_scratch_stays_bounded(z, delta_p, seed, r, start, m):
+def test_block_scratch_stays_bounded(z, delta_p, seed, r, starts, m):
     # the largest blocks the trainer forms (z=2: 3^8 in ring 1, 5^6 in ring
-    # 2; z=4: 81 windows) and the whole of z=2 ring 1: the bound stage goes
-    # in chunks of about _TABLE_BLOCK elements, and the sub-block bounds and
-    # the pair stage in chunks of about _PAIR_BLOCK, so scratch does not grow
-    # with the block. The z=4 blocks of seeds 13 and 34 hold many pairs with
-    # lo < hi
-    args, _ = _block(z, delta_p, seed, r, start, m)
-    tracemalloc.start()
-    try:
-        first = oracle.first_solvable_position(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert first is not None
-    assert peak < 2.25 * 2 ** 20
+    # 2; z=4: 81 windows), each of the three that tile z=2 ring 1: the bound
+    # stage goes in chunks of about _TABLE_BLOCK elements, and the sub-block
+    # bounds and the pair stage in chunks of about _PAIR_BLOCK, so scratch
+    # does not grow with the block. The z=4 blocks of seeds 13 and 34 hold
+    # many pairs with lo < hi
+    found = []
+    for start in starts:
+        args, _ = _block(z, delta_p, seed, r, start, m)
+        tracemalloc.start()
+        try:
+            found.append(oracle.first_solvable_position(*args) is not None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 2 ** 20
+    assert any(found)
 
 
-def _live_sub_blocks(a_keys, b_keys, c_keys, positions, z, delta_p):
+def _live_sub_blocks(*args):
     """The live blocks of a product block, and (block, v1, v2) of every
     live sub-block of them."""
-    a_side, b_side = (oracle._side(oracle._weight_values(keys, z, delta_p), 0, 3)
-                      for keys in (a_keys, b_keys))
-    c = oracle._weight_values(c_keys, z, delta_p)[0]
-    blocks = oracle._product_blocks(a_side[2], b_side[2], c, positions)
+    a_side, b_side, c, blocks = _live_blocks(*args)
     a_rows, b_rows = (oracle._row_tables(w, h) for h, w, _ in (a_side, b_side))
     parts = list(oracle._live_sub_blocks(a_rows, b_rows, c, blocks))
     return blocks, [np.concatenate(col) for col in zip(*parts)][:3]
@@ -373,7 +391,7 @@ def test_the_search_pairs_no_live_block_twice(monkeypatch, survivor_block):
         paired.clear()
         hit, indices = oracle.first_solvable_position(*args)
         codes = np.concatenate([blk * 16 + v1 * 4 + v2 for blk, v1, v2 in paired])
-        run = np.count_nonzero(blocks[3][blk] <= hit)
+        run = np.count_nonzero(blocks[2][blk] <= hit)
         assert hit <= 2
         assert np.unique(codes).size == codes.size
         assert 0 < codes.size <= -(-run // per) * per

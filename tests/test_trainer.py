@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -120,6 +121,30 @@ def test_find_solvable_window_respects_the_shift_cap():
         seed=3, max_window_shifts=2950))
     assert shifts == 2950
     assert sols.k == 2
+
+
+@pytest.mark.parametrize("z", range(2, 9))
+def test_a_search_block_has_one_output_bias(z):
+    # the output bias is weight 8, whose counter digit a block frees only
+    # when it frees all nine: the schedule frees at most eight, so each
+    # block reaches the kernel with one output-bias coordinate, and a block
+    # that frees digit 8 is refused before it. The first 20,000 blocks hold
+    # the largest blocks of rings 1-4 at z=2, 1-3 at z=3 and 1-2 at z=4-8
+    origin = np.asarray(trainer.random_window(9, z, 0.5, seed=0).origin)
+    largest = {}  # ring -> (free digits, position) of its first largest block
+    for r, position, m in itertools.islice(trainer._ring_blocks(9, z, 10 ** 12), 20000):
+        if r > 4:
+            break
+        if m > largest.get(r, (0,))[0]:
+            largest[r] = (m, position)
+    assert len(largest) >= 2 and max(m for m, _ in largest.values()) <= 8
+    assert z > 2 or largest[1][0] == 8
+    for r, (m, position) in largest.items():
+        a_keys, b_keys, bias, offsets = trainer._block_keys(origin, z, r, position, m)
+        assert np.ndim(bias) == 0 and len(offsets) == 2
+        assert len(a_keys) * len(b_keys) == (2 * r + 1) ** m
+    with pytest.raises(ValueError):
+        trainer._block_keys(origin, z, 1, 0, 9)
 
 
 def _first_solvable_by_enumeration(start, max_shifts):
